@@ -1,8 +1,12 @@
 #include "agents/techniques.hpp"
 
-#include <map>
-#include <mutex>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <shared_mutex>
+#include <unordered_map>
 
+#include "buildsim/tucache.hpp"
 #include "codeanal/functions.hpp"
 #include "codeanal/includes.hpp"
 #include "support/strings.hpp"
@@ -103,10 +107,9 @@ void inject_calibrated_defects(const AppSpec& app, const LlmProfile& profile,
 
 // ------------------------------------------------------- token models --
 
-long long nonagentic_tokens(const AppSpec& app, const vfs::Repo& src,
-                            const vfs::Repo& translated,
-                            const LlmProfile& profile, const Pair& pair,
-                            long long* output_tokens) {
+TokenCounts nonagentic_tokens(const AppSpec& app, const vfs::Repo& src,
+                              const vfs::Repo& translated,
+                              const LlmProfile& profile, const Pair& pair) {
   long long in = 0, out = 0;
   for (const auto& f : translated.files()) {
     const std::string prompt =
@@ -116,14 +119,12 @@ long long nonagentic_tokens(const AppSpec& app, const vfs::Repo& src,
         static_cast<double>(text::approx_tokens(f.content)) *
         profile.output_multiplier);
   }
-  *output_tokens = out;
-  return in;
+  return {in, out};
 }
 
-long long topdown_tokens(const AppSpec& app, const vfs::Repo& src,
-                         const vfs::Repo& translated,
-                         const LlmProfile& profile, const Pair& pair,
-                         long long* output_tokens) {
+TokenCounts topdown_tokens(const AppSpec& app, const vfs::Repo& src,
+                           const vfs::Repo& translated,
+                           const LlmProfile& profile, const Pair& pair) {
   long long in = 0, out = 0;
   // Dependency agent: clang include scan is free; the LLM fallback reads
   // the repo structure once for non-C files (build system, README).
@@ -163,13 +164,12 @@ long long topdown_tokens(const AppSpec& app, const vfs::Repo& src,
           profile.output_multiplier);
     }
   }
-  *output_tokens = out;
-  return in;
+  return {in, out};
 }
 
-long long swe_tokens(const AppSpec& app, const vfs::Repo& src,
-                     const vfs::Repo& translated, const LlmProfile& profile,
-                     const Pair& pair, long long* output_tokens) {
+TokenCounts swe_tokens(const AppSpec& app, const vfs::Repo& src,
+                       const vfs::Repo& translated, const LlmProfile& profile,
+                       const Pair& pair) {
   long long in = text::approx_tokens(build_swe_issue(app, pair));
   long long out = 0;
   // SWE-agent's closed loop: strategy, file views, edits. Roughly one
@@ -185,11 +185,112 @@ long long swe_tokens(const AppSpec& app, const vfs::Repo& src,
         static_cast<double>(text::approx_tokens(f.content)) *
         profile.output_multiplier / 2.0);  // diff-style edits
   }
-  *output_tokens = out;
-  return in;
+  return {in, out};
+}
+
+// ------------------------------------------------------------ cell memo --
+
+/// The sample-independent part of one cell: the reference translation and
+/// its token counts. Samples of a cell differ only in injected defects.
+struct CellEntry {
+  std::shared_ptr<const vfs::Repo> repo;
+  TokenCounts tokens;
+};
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return support::SplitMix64(h ^ v).next();
+}
+
+std::uint64_t fold(std::uint64_t h, const std::string& s) {
+  return fold(h, support::stable_hash(s));
+}
+
+std::uint64_t fold(std::uint64_t h, double v) {
+  return fold(h, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Key of the reference translation: everything transpile_repo reads (the
+/// source repo's content, the app name that names the executable, the
+/// extent hints, and the pair).
+std::uint64_t translation_key(const AppSpec& app, const vfs::Repo& src,
+                              const Pair& pair) {
+  std::uint64_t h = fold(buildsim::repo_content_hash(src), app.name);
+  h = fold(h, static_cast<std::uint64_t>(pair.from));
+  h = fold(h, static_cast<std::uint64_t>(pair.to));
+  for (const auto& [param, extent] : app.array_extents) {
+    h = fold(fold(h, param), extent);
+  }
+  return h;
+}
+
+/// Key of a cell's entry: the translation key plus everything the token
+/// model reads on top of it (prompt addenda, technique, profile knobs).
+std::uint64_t cell_key(std::uint64_t translation, const AppSpec& app,
+                       Technique technique, const LlmProfile& profile) {
+  std::uint64_t h = fold(translation, static_cast<std::uint64_t>(technique));
+  h = fold(fold(fold(h, app.cli_spec), app.build_spec_make),
+           app.build_spec_cmake);
+  h = fold(h, profile.output_multiplier);
+  h = fold(h, static_cast<std::uint64_t>(profile.context_tokens));
+  return fold(h, profile.topdown_context_fraction);
+}
+
+/// Process-wide memo of cell entries, keyed on content rather than names
+/// so a re-registered app or profile gets a fresh entry. Translations are
+/// shared across the cells of one (app, pair). Concurrent misses on one
+/// key compute the same pure value; the first insert wins.
+std::shared_ptr<const CellEntry> cell_entry(const AppSpec& app,
+                                            Technique technique,
+                                            const LlmProfile& profile,
+                                            const Pair& pair) {
+  static std::shared_mutex mu;
+  static std::unordered_map<std::uint64_t, std::shared_ptr<const vfs::Repo>>
+      translations;
+  static std::unordered_map<std::uint64_t, std::shared_ptr<const CellEntry>>
+      cells;
+
+  const vfs::Repo& src = app.repos.at(pair.from);
+  const std::uint64_t xkey = translation_key(app, src, pair);
+  const std::uint64_t key = cell_key(xkey, app, technique, profile);
+  std::shared_ptr<const vfs::Repo> translated;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu);
+    if (const auto hit = cells.find(key); hit != cells.end()) {
+      return hit->second;
+    }
+    if (const auto hit = translations.find(xkey); hit != translations.end()) {
+      translated = hit->second;
+    }
+  }
+  if (!translated) {
+    xlate::TranspileLog log;
+    translated = std::make_shared<const vfs::Repo>(
+        xlate::transpile_repo(app, pair.from, pair.to, log));
+  }
+  auto entry = std::make_shared<const CellEntry>(CellEntry{
+      translated,
+      token_counts(app, src, *translated, profile, pair, technique)});
+  std::unique_lock<std::shared_mutex> lock(mu);
+  translations.try_emplace(xkey, std::move(translated));
+  return cells.try_emplace(key, std::move(entry)).first->second;
 }
 
 }  // namespace
+
+TokenCounts token_counts(const AppSpec& app, const vfs::Repo& src,
+                         const vfs::Repo& translated,
+                         const LlmProfile& profile, const Pair& pair,
+                         Technique technique) {
+  switch (technique) {
+    case Technique::NonAgentic:
+      return nonagentic_tokens(app, src, translated, profile, pair);
+    case Technique::TopDown:
+      return topdown_tokens(app, src, translated, profile, pair);
+    case Technique::SweAgent:
+      return swe_tokens(app, src, translated, profile, pair);
+  }
+  return {};
+}
 
 std::string build_nonagentic_prompt(const AppSpec& app,
                                     const vfs::Repo& repo,
@@ -272,48 +373,25 @@ TranslationResult run_technique(const AppSpec& app, Technique technique,
     return result;
   }
 
-  // The "model capability": a correct reference translation. Cached per
-  // (app, pair): the transpile is deterministic and samples differ only in
-  // their injected defects.
-  static std::map<std::string, vfs::Repo> cache;
-  static std::mutex cache_mu;
-  const std::string key = app.name + "|" + llm::pair_name(pair);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu);
-    const auto hit = cache.find(key);
-    if (hit != cache.end()) {
-      result.repo = hit->second;
-    } else {
-      xlate::TranspileLog log;
-      result.repo = xlate::transpile_repo(app, pair.from, pair.to, log);
-      cache.emplace(key, result.repo);
-    }
-  }
-  const vfs::Repo& src = app.repos.at(pair.from);
+  // The "model capability" (a correct reference translation) and the
+  // token counts come from the cell's memo entry; the repo is copied
+  // outside the memo's lock. Only the steps below depend on the sample.
+  const std::shared_ptr<const CellEntry> entry =
+      cell_entry(app, technique, profile, pair);
+  result.repo = *entry->repo;
+  result.input_tokens = entry->tokens.input;
+  result.output_tokens = entry->tokens.output;
 
-  switch (technique) {
-    case Technique::NonAgentic:
-      result.input_tokens = nonagentic_tokens(app, src, result.repo, profile,
-                                              pair, &result.output_tokens);
-      break;
-    case Technique::TopDown:
-      result.input_tokens = topdown_tokens(app, src, result.repo, profile,
-                                           pair, &result.output_tokens);
-      break;
-    case Technique::SweAgent: {
-      result.input_tokens = swe_tokens(app, src, result.repo, profile, pair,
-                                       &result.output_tokens);
-      // SWE-agent needs a git repository (§3.3).
-      result.repo.write(".git/HEAD", "ref: refs/heads/main\n");
-      // Its editor replaces tabs with spaces, breaking Makefiles.
-      if (result.repo.exists("Makefile")) {
-        result.repo.write("Makefile",
-                          support::replace_all(result.repo.at("Makefile"),
-                                               "\t", "    "));
-        result.defects.push_back(
-            "SWE-agent: Makefile tabs replaced with spaces");
-      }
-      break;
+  if (technique == Technique::SweAgent) {
+    // SWE-agent needs a git repository (§3.3).
+    result.repo.write(".git/HEAD", "ref: refs/heads/main\n");
+    // Its editor replaces tabs with spaces, breaking Makefiles.
+    if (result.repo.exists("Makefile")) {
+      result.repo.write("Makefile",
+                        support::replace_all(result.repo.at("Makefile"),
+                                             "\t", "    "));
+      result.defects.push_back(
+          "SWE-agent: Makefile tabs replaced with spaces");
     }
   }
 

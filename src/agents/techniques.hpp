@@ -31,9 +31,30 @@ struct TranslationResult {
 /// Total tokens (input + output) of one translation attempt.
 long long total_tokens(const TranslationResult& r);
 
+/// Inference tokens one technique spends on one task.
+struct TokenCounts {
+  long long input = 0;
+  long long output = 0;
+  bool operator==(const TokenCounts&) const = default;
+};
+
+/// The token model: the tokens `technique` run by `profile` spends to
+/// translate `src` into `translated` (the prompts it assembles, and the
+/// answers scaled by the profile's output multiplier). A pure function of
+/// its arguments; run_technique computes it once per cell and reuses it
+/// for every sample.
+TokenCounts token_counts(const apps::AppSpec& app, const vfs::Repo& src,
+                         const vfs::Repo& translated,
+                         const llm::LlmProfile& profile,
+                         const llm::Pair& pair, llm::Technique technique);
+
 /// Run one technique on one task with one simulated LLM. `rng` drives the
 /// defect sampling; distinct samples use split generators. Resolves the
 /// cell's capability scores through the paper's calibration tables.
+/// The reference translation and the token counts are memoized per cell,
+/// keyed on the content they read (source repo, prompt addenda, extent
+/// hints, profile knobs), so re-registering an edited app or profile under
+/// the same name never reuses a stale entry. Safe to call concurrently.
 TranslationResult run_technique(const apps::AppSpec& app,
                                 llm::Technique technique,
                                 const llm::LlmProfile& profile,

@@ -75,11 +75,7 @@ int JobQueue::submit(const eval::SweepSpec& spec,
       std::function<void()> done;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        job->state = JobState::Done;
-        --active_;
-        auto cb = job->on_done;
-        const int job_id = job->id;
-        if (cb) done = [cb, job_id] { cb(job_id, false, 0); };
+        done = finish_locked(job);
         if (inflight_ == 0 && active_ == 0) idle_cv_.notify_all();
       }
       if (done) done();
@@ -153,12 +149,19 @@ std::function<void()> JobQueue::settle_unit_locked(
   ++job->settled;
   ++(ran ? job->completed : job->skipped);
   if (job->settled < job->units.size()) return {};
-  // Last unit: the job leaves the rotation and reports once.
+  return finish_locked(job);
+}
+
+std::function<void()> JobQueue::finish_locked(
+    const std::shared_ptr<Job>& job) {
   if (job->state == JobState::Running) job->state = JobState::Done;
   rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), job->id),
                   rr_order_.end());
   if (rr_next_ >= rr_order_.size()) rr_next_ = 0;
   --active_;
+  history_.push_back(info_of(*job));
+  if (history_.size() > kJobHistory) history_.pop_front();
+  jobs_.erase(job->id);
   const bool cancelled = job->state == JobState::Cancelled;
   const std::size_t records = job->completed;
   const int id = job->id;
@@ -174,50 +177,50 @@ bool JobQueue::cancel(int id, std::size_t* skipped) {
     auto it = jobs_.find(id);
     if (it == jobs_.end() || it->second->state != JobState::Running ||
         it->second->units.empty()) {
-      // Zero-unit jobs settle via their own pool task; there is nothing
-      // to strike from the queue.
+      // Unknown, settled (settled jobs leave jobs_), or already
+      // cancelled. Zero-unit jobs settle via their own pool task; there
+      // is nothing to strike from the queue.
       return false;
     }
-    Job& job = *it->second;
-    job.state = JobState::Cancelled;
+    // A copy, not a reference: finishing the job erases the table's
+    // pointer, and this one keeps the job alive until the scope ends.
+    const std::shared_ptr<Job> job = it->second;
+    job->state = JobState::Cancelled;
     // Units never dispatched settle right here as skipped; in-flight
     // ones settle from their pool task (those dispatched-but-unstarted
     // observe the cancelled state and skip themselves).
-    const std::size_t undispatched = job.units.size() - job.next_unit;
+    const std::size_t undispatched = job->units.size() - job->next_unit;
     if (skipped != nullptr) *skipped = undispatched;
-    job.next_unit = job.units.size();
-    job.settled += undispatched;
-    job.skipped += undispatched;
-    if (job.settled >= job.units.size()) {
-      done = settle_unit_locked(it->second, /*ran=*/false);
-      // settle_unit_locked counted one extra settle for the call above;
-      // undo the double count (the helper exists for the in-flight
-      // path). Simpler than a second finalize routine.
-      --job.settled;
-      --job.skipped;
-    }
+    job->next_unit = job->units.size();
+    job->settled += undispatched;
+    job->skipped += undispatched;
+    if (job->settled >= job->units.size()) done = finish_locked(job);
     if (inflight_ == 0 && active_ == 0) idle_cv_.notify_all();
   }
   if (done) done();
   return true;
 }
 
+JobInfo JobQueue::info_of(const Job& job) {
+  JobInfo info;
+  info.id = job.id;
+  info.state = job.state;
+  info.high_priority = job.high_priority;
+  info.spec_hash = job.spec_hash;
+  info.cells = job.cells.size();
+  info.total_units = job.units.size();
+  info.completed_units = job.completed;
+  info.skipped_units = job.skipped;
+  return info;
+}
+
 std::vector<JobInfo> JobQueue::jobs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<JobInfo> out;
-  out.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) {
-    JobInfo info;
-    info.id = id;
-    info.state = job->state;
-    info.high_priority = job->high_priority;
-    info.spec_hash = job->spec_hash;
-    info.cells = job->cells.size();
-    info.total_units = job->units.size();
-    info.completed_units = job->completed;
-    info.skipped_units = job->skipped;
-    out.push_back(info);
-  }
+  std::vector<JobInfo> out(history_.begin(), history_.end());
+  out.reserve(history_.size() + jobs_.size());
+  for (const auto& [id, job] : jobs_) out.push_back(info_of(*job));
+  std::sort(out.begin(), out.end(),
+            [](const JobInfo& a, const JobInfo& b) { return a.id < b.id; });
   return out;
 }
 

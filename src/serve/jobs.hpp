@@ -32,10 +32,16 @@
 // before submit() returns, so the id cannot come from the return value.
 // on_done fires exactly once, after every unit has settled (ran and
 // streamed, or was skipped by a cancel).
+//
+// A settled job leaves the queue: its JobInfo summary moves into a
+// fixed-size history of the newest kJobHistory settled jobs and the job
+// itself (spec, cells, units, callbacks) is freed, so a long-running
+// server's memory does not grow with the number of jobs it has served.
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -71,6 +77,9 @@ struct JobInfo {
 
 class JobQueue {
  public:
+  /// How many settled-job summaries jobs() keeps (the newest ones).
+  static constexpr std::size_t kJobHistory = 64;
+
   /// `suite` must outlive the queue (jobs hold SweepCell pointers into
   /// its registries). `max_inflight` 0 = the global pool's worker count.
   explicit JobQueue(const eval::Suite& suite, unsigned max_inflight = 0);
@@ -96,8 +105,8 @@ class JobQueue {
   /// cancel struck from the queue.
   bool cancel(int job, std::size_t* skipped = nullptr);
 
-  /// Snapshot of every job this queue has seen (settled jobs included),
-  /// ascending id.
+  /// Snapshot of every active job plus the newest kJobHistory settled
+  /// ones, ascending id.
   std::vector<JobInfo> jobs() const;
 
   /// Units queued but not yet dispatched, across active jobs.
@@ -139,12 +148,18 @@ class JobQueue {
   /// invoke outside the lock when this settles the job.
   std::function<void()> settle_unit_locked(const std::shared_ptr<Job>& job,
                                            bool ran);
+  /// The job's last unit settled: retire it from the rotation and the job
+  /// table into history_, and return its on_done (empty when unset).
+  /// Callers keep their own shared_ptr, since this erases the table's.
+  std::function<void()> finish_locked(const std::shared_ptr<Job>& job);
+  static JobInfo info_of(const Job& job);
 
   const eval::Suite& suite_;
   std::size_t max_inflight_ = 0;
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
-  std::map<int, std::shared_ptr<Job>> jobs_;
+  std::map<int, std::shared_ptr<Job>> jobs_;  // active jobs only
+  std::deque<JobInfo> history_;               // settled, oldest first
   std::vector<int> rr_order_;  // active job ids, rotation order
   std::size_t rr_next_ = 0;
   std::size_t inflight_ = 0;

@@ -398,6 +398,41 @@ TEST(ServeJobs, CancelSkipsQueuedUnitsAndSettlesTheJob) {
   EXPECT_FALSE(queue.cancel(9999));
 }
 
+TEST(ServeJobs, SettledJobsLeaveABoundedHistoryOfTheNewest) {
+  const pe::Suite& suite = pe::Suite::paper();
+  pv::JobQueue queue(suite);
+  const pe::SweepSpec spec = tiny_spec();
+  const std::size_t units = static_cast<std::size_t>(spec.samples_per_task);
+  const int total = static_cast<int>(pv::JobQueue::kJobHistory) + 6;
+
+  std::atomic<int> done_calls{0};
+  std::vector<int> ids;
+  for (int i = 0; i < total; ++i) {
+    // One at a time, so settle order is submit order and "newest" is
+    // well defined.
+    ids.push_back(queue.submit(
+        spec, pe::HarnessConfig(), /*high_priority=*/false, {},
+        [&](int, bool, std::size_t) { ++done_calls; }));
+    queue.wait_idle();
+  }
+  EXPECT_EQ(done_calls.load(), total);
+  EXPECT_EQ(queue.active_jobs(), 0u);
+
+  const auto jobs = queue.jobs();
+  ASSERT_EQ(jobs.size(), pv::JobQueue::kJobHistory);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].id, ids[ids.size() - jobs.size() + i]);
+    EXPECT_EQ(jobs[i].state, pv::JobState::Done);
+    EXPECT_EQ(jobs[i].completed_units, units);
+    EXPECT_EQ(jobs[i].skipped_units, 0u);
+  }
+
+  // Finished jobs cannot be cancelled, whether still in the history or
+  // already aged out of it.
+  EXPECT_FALSE(queue.cancel(ids.back()));
+  EXPECT_FALSE(queue.cancel(ids.front()));
+}
+
 // --- SweepServer end to end -------------------------------------------------
 
 namespace {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "agents/techniques.hpp"
 #include "apps/xor_common.hpp"
 #include "eval/report.hpp"
 #include "eval/shard.hpp"
@@ -197,6 +198,41 @@ TEST(Suite, ReRegistrationReplacesInPlace) {
   EXPECT_EQ(suite.pairs().size(), pareval::llm::all_pairs().size());
   suite.add_technique(Technique::TopDown);  // duplicate technique
   EXPECT_EQ(suite.techniques().size(), 3u);
+}
+
+TEST(Suite, ReRegisteredAppOrProfileGetsAFreshTranslation) {
+  // The per-cell translation memo is keyed on content, not names: a
+  // re-registered "nanoXOR" with edited sources, or a profile with a new
+  // output multiplier, must not reuse what the stock entry computed.
+  pe::Suite suite = pe::Suite::paper();
+  const Pair pair{Model::Cuda, Model::OmpOffload};
+  const pareval::llm::CellScores perfect{1, 1, 1, 1};  // no defects
+  auto run = [&] {
+    ps::Rng rng(3);
+    return pareval::agents::run_technique(
+        *suite.find_app("nanoXOR"), Technique::NonAgentic,
+        *suite.find_profile("o4-mini"), pair, rng, perfect, "");
+  };
+  const auto stock = run();  // fills the memo for the stock app
+  ASSERT_TRUE(stock.generated);
+
+  pareval::apps::AppSpec edited = *suite.find_app("nanoXOR");
+  pareval::vfs::Repo& cuda = edited.repos.at(Model::Cuda);
+  cuda.write("src/main.cu",
+             "#define NANOXOR_EDITED 1\n" + cuda.at("src/main.cu"));
+  suite.add_app(std::move(edited));
+  const auto after_edit = run();
+  ASSERT_TRUE(after_edit.generated);
+  EXPECT_FALSE(ps::contains(stock.repo.at("src/main.cpp"), "NANOXOR_EDITED"));
+  EXPECT_TRUE(
+      ps::contains(after_edit.repo.at("src/main.cpp"), "NANOXOR_EDITED"));
+
+  pareval::llm::LlmProfile tweaked = *suite.find_profile("o4-mini");
+  tweaked.output_multiplier *= 2.0;
+  suite.add_profile(tweaked);
+  const auto after_profile = run();
+  EXPECT_EQ(after_profile.input_tokens, after_edit.input_tokens);
+  EXPECT_NE(after_profile.output_tokens, after_edit.output_tokens);
 }
 
 TEST(SweepSpec, FromJsonRejectsMalformedInput) {

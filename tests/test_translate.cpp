@@ -2,17 +2,33 @@
 // *correct* target-model repositories: they build under the simulated
 // toolchains, run on the device, and match the app's golden outputs. The
 // defect mutators must then create exactly the failure class they claim.
+// The per-cell memo behind agents::run_technique must agree with a fresh
+// token model, and with itself when pool threads race on a cold cell.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+#include <vector>
+
+#include "agents/techniques.hpp"
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
+#include "eval/harness.hpp"
+#include "eval/spec.hpp"
+#include "eval/suite.hpp"
+#include "support/par.hpp"
 #include "translate/mutate.hpp"
 #include "translate/transpile.hpp"
 
+namespace ag = pareval::agents;
 namespace pa = pareval::apps;
 namespace bs = pareval::buildsim;
+namespace pe = pareval::eval;
 namespace px = pareval::xlate;
+using pareval::llm::Technique;
 using pareval::execsim::run_executable;
 using pareval::minic::DiagCategory;
 
@@ -111,6 +127,103 @@ TEST_P(TranslationPair, ReferenceTranslationIsCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(Pairs, TranslationPair,
                          testing::ValuesIn(pair_cases()), pair_name);
+
+// ------------------------------------------------------- per-cell memo ---
+
+namespace {
+
+ag::TokenCounts tokens_of(const ag::TranslationResult& r) {
+  return {r.input_tokens, r.output_tokens};
+}
+
+/// The token model computed from scratch: a fresh transpile, no memo.
+ag::TokenCounts fresh_tokens(const pa::AppSpec& app, Technique technique,
+                             const pareval::llm::LlmProfile& profile,
+                             const pareval::llm::Pair& pair) {
+  px::TranspileLog log;
+  const pareval::vfs::Repo translated =
+      px::transpile_repo(app, pair.from, pair.to, log);
+  return ag::token_counts(app, app.repos.at(pair.from), translated, profile,
+                          pair, technique);
+}
+
+}  // namespace
+
+TEST(CellMemo, MemoizedTokensEqualAFreshTokenModelOnEveryPaperCell) {
+  const pe::Suite& suite = pe::Suite::paper();
+  std::size_t generated = 0;
+  for (const auto& cell : pe::sweep_cells(suite, pe::SweepSpec::paper())) {
+    const auto scores = suite.calibration(cell.profile->name, cell.technique,
+                                          cell.pair, cell.app->name);
+    if (!scores) continue;
+    const std::string label = cell.profile->name + "|" +
+                              pareval::llm::technique_name(cell.technique) +
+                              "|" + pareval::llm::pair_name(cell.pair) +
+                              "|" + cell.app->name;
+    pareval::support::Rng rng_a(1), rng_b(2);
+    const auto a = ag::run_technique(*cell.app, cell.technique,
+                                     *cell.profile, cell.pair, rng_a, scores,
+                                     "");
+    const auto b = ag::run_technique(*cell.app, cell.technique,
+                                     *cell.profile, cell.pair, rng_b, scores,
+                                     "");
+    ASSERT_TRUE(a.generated && b.generated) << label;
+    // Samples differ only in their defects, never in their token counts.
+    EXPECT_EQ(tokens_of(a), tokens_of(b)) << label;
+    EXPECT_EQ(tokens_of(a), fresh_tokens(*cell.app, cell.technique,
+                                         *cell.profile, cell.pair))
+        << label;
+    ++generated;
+  }
+  EXPECT_GT(generated, 100u);
+}
+
+TEST(CellMemo, ConcurrentCallsOnAColdCellAllAgree) {
+  // An edited nanoXOR no other test touches, so the cell starts cold and
+  // every pool thread races to fill it.
+  pa::AppSpec app = *pa::find_app("nanoXOR");
+  pareval::vfs::Repo& cuda = app.repos.at(pa::Model::Cuda);
+  cuda.write("src/main.cu",
+             "#define CELL_MEMO_RACE 1\n" + cuda.at("src/main.cu"));
+  const pareval::llm::LlmProfile& profile =
+      *pareval::llm::find_profile("o4-mini");
+  const pareval::llm::Pair pair{pa::Model::Cuda, pa::Model::OmpOffload};
+  const pareval::llm::CellScores scores{0.8, 0.6, 0.7, 0.5};
+
+  pareval::support::ThreadPool& pool = pareval::support::ThreadPool::global();
+  const unsigned threads = pool.worker_count();
+  std::atomic<unsigned> arrived{0};
+  std::vector<std::future<ag::TranslationResult>> futures;
+  for (unsigned i = 0; i < threads; ++i) {
+    futures.push_back(pool.submit([&] {
+      // Hold every worker at the line so the calls overlap; the deadline
+      // only guards against a worker that never picks its task up.
+      ++arrived;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (arrived.load() < threads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      pareval::support::Rng rng(7);
+      return ag::run_technique(app, Technique::TopDown, profile, pair, rng,
+                               scores, "");
+    }));
+  }
+  std::vector<ag::TranslationResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+
+  ASSERT_FALSE(results.empty());
+  const ag::TranslationResult& first = results.front();
+  ASSERT_TRUE(first.generated);
+  EXPECT_EQ(tokens_of(first),
+            fresh_tokens(app, Technique::TopDown, profile, pair));
+  for (const auto& r : results) {
+    EXPECT_EQ(r.repo, first.repo);
+    EXPECT_EQ(tokens_of(r), tokens_of(first));
+    EXPECT_EQ(r.defects, first.defects);
+  }
+}
 
 // ----------------------------------------------------------- mutators ---
 
