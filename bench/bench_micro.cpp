@@ -212,6 +212,29 @@ static void BM_Dbscan(benchmark::State& state) {
 }
 BENCHMARK(BM_Dbscan)->Arg(64)->Arg(256);
 
+// The §6.3 classifier's shape: 12-dimensional embeddings, eps 0.35,
+// min_pts 2, and about 15 copies of each distinct point (the paper corpus
+// has 3346 failure logs but only 221 distinct ones).
+static void BM_DbscanDuplicated(benchmark::State& state) {
+  support::Rng rng(7);
+  std::vector<std::vector<double>> distinct;
+  for (int i = 0; i < state.range(0); ++i) {
+    std::vector<double> p(12);
+    const double center = static_cast<double>(i % 16) * 0.2;
+    for (auto& x : p) x = center + rng.uniform(-0.1, 0.1);
+    distinct.push_back(std::move(p));
+  }
+  std::vector<std::vector<double>> points;
+  for (int copy = 0; copy < 15; ++copy) {
+    for (const auto& p : distinct) points.push_back(p);
+  }
+  for (auto _ : state) {
+    auto labels = cluster::dbscan(points, {0.35, 2});
+    benchmark::DoNotOptimize(labels);
+  }
+}
+BENCHMARK(BM_DbscanDuplicated)->Arg(221);
+
 static void BM_Word2Vec(benchmark::State& state) {
   std::vector<std::vector<std::string>> docs;
   for (int i = 0; i < 40; ++i) {
@@ -228,6 +251,37 @@ static void BM_Word2Vec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Word2Vec);
+
+// The §6.3 classifier's configuration (dim 12, 6 epochs) on log-shaped
+// documents: 22 distinct logs of 30 tokens over a 60-word vocabulary,
+// each repeated 15 times.
+static void BM_Word2VecClassifier(benchmark::State& state) {
+  support::Rng rng(11);
+  std::vector<std::vector<std::string>> distinct;
+  for (int i = 0; i < 22; ++i) {
+    std::vector<std::string> doc;
+    for (int w = 0; w < 30; ++w) {
+      // Skewed draw, like diagnostic text: a few words dominate.
+      const auto a = rng.next_below(60);
+      const auto b = rng.next_below(60);
+      doc.push_back("w" + std::to_string(std::min(a, b)));
+    }
+    distinct.push_back(std::move(doc));
+  }
+  std::vector<std::vector<std::string>> docs;
+  for (int copy = 0; copy < 15; ++copy) {
+    docs.insert(docs.end(), distinct.begin(), distinct.end());
+  }
+  for (auto _ : state) {
+    text::Word2Vec w2v;
+    text::Word2VecConfig cfg;
+    cfg.dim = 12;
+    cfg.epochs = 6;
+    w2v.train(docs, cfg);
+    benchmark::DoNotOptimize(w2v.vocabulary_size());
+  }
+}
+BENCHMARK(BM_Word2VecClassifier);
 
 static void BM_PassAtK(benchmark::State& state) {
   for (auto _ : state) {

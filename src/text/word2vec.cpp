@@ -1,6 +1,9 @@
 #include "text/word2vec.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "support/rng.hpp"
 
@@ -12,6 +15,105 @@ double sigmoid(double x) {
   if (x > 8) return 1.0;
   if (x < -8) return 0.0;
   return 1.0 / (1.0 + std::exp(-x));
+}
+
+/// Most samples one batch computes dot products for at once.
+constexpr std::size_t kLanes = 8;
+
+/// Two doubles updated lane by lane (a GCC/Clang vector extension): each
+/// lane rounds exactly like the scalar expression, so this halves the
+/// update's loads and stores without changing a bit.
+using Pair2 = double __attribute__((vector_size(2 * sizeof(double))));
+
+Pair2 load2(const double* p) {
+  Pair2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store2(double* p, Pair2 v) { std::memcpy(p, &v, sizeof v); }
+
+// Skip-gram SGD, one context pair at a time.
+//
+// The result is bit-identical to updating one sample after another: a
+// sample's dot product reads the centre's `in` row, which no sample of the
+// pair writes, and its target's `out` row, which only a sample with the
+// same target writes. So a run of samples with pairwise distinct targets
+// may compute all its dot products first, as independent chains that each
+// still sum k = 0..dim-1 in order, and then apply the `grad` and `out`
+// updates, each element still accumulating in sample order. A repeated
+// target starts a new batch, so it sees the earlier update.
+
+/// kM samples whose `out` rows `rows` are pairwise distinct; the first has
+/// label `first_label`, the others 0. `w` is the centre's `in` row and
+/// `grad` its pending update.
+template <std::size_t kM>
+void sgd_batch(std::size_t d, const double* __restrict__ w,
+               double* __restrict__ grad, double* const* rows,
+               double first_label, double lr) {
+  // Unrolling over the samples keeps the kM chains in registers.
+  double dot[kM] = {};
+  for (std::size_t k = 0; k < d; ++k) {
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kM; ++s) dot[s] += w[k] * rows[s][k];
+  }
+  double g[kM];
+#pragma GCC unroll 8
+  for (std::size_t s = 0; s < kM; ++s) {
+    g[s] = (sigmoid(dot[s]) - (s == 0 ? first_label : 0.0)) * lr;
+  }
+  std::size_t k = 0;
+  for (; k + 2 <= d; k += 2) {
+    const Pair2 wk = load2(w + k);
+    Pair2 gk = load2(grad + k);
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kM; ++s) {
+      Pair2 r = load2(rows[s] + k);
+      gk += g[s] * r;
+      r -= g[s] * wk;
+      store2(rows[s] + k, r);
+    }
+    store2(grad + k, gk);
+  }
+  for (; k < d; ++k) {
+    for (std::size_t s = 0; s < kM; ++s) {
+      grad[k] += g[s] * rows[s][k];
+      rows[s][k] -= g[s] * w[k];
+    }
+  }
+}
+
+template <std::size_t... kIs>
+void sgd_dispatch(std::size_t m, std::size_t d, const double* w,
+                  double* grad, double* const* rows, double first_label,
+                  double lr, std::index_sequence<kIs...>) {
+  ((m == kIs + 1 ? sgd_batch<kIs + 1>(d, w, grad, rows, first_label, lr)
+                 : void()),
+   ...);
+}
+
+/// One context pair: `targets[0..count)` are the positive sample and the
+/// negatives that survived the positive skip, in draw order. `grad` is
+/// scratch of the embedding width.
+void sgd_pair(double* in_row, double* out, std::size_t d,
+              const std::size_t* targets, std::size_t count, double lr,
+              double* grad) {
+  std::fill_n(grad, d, 0.0);
+  double* rows[kLanes];
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    rows[i - begin] = out + targets[i] * d;
+    const std::size_t next = i + 1;
+    if (next < count && next - begin < kLanes &&
+        std::find(targets + begin, targets + next, targets[next]) ==
+            targets + next) {
+      continue;
+    }
+    sgd_dispatch(next - begin, d, in_row, grad, rows, begin == 0 ? 1.0 : 0.0,
+                 lr, std::make_index_sequence<kLanes>{});
+    begin = next;
+  }
+  for (std::size_t k = 0; k < d; ++k) in_row[k] -= grad[k];
 }
 
 }  // namespace
@@ -48,58 +150,56 @@ void Word2Vec::train(const std::vector<std::vector<std::string>>& docs,
   }
   if (unigram_.empty()) return;
 
-  // Index the corpus once.
-  std::vector<std::vector<int>> indexed;
+  // Index the corpus once, into one buffer: document i is
+  // ids[starts[i] .. starts[i + 1]).
+  std::vector<int> ids;
+  std::vector<std::size_t> starts = {0};
   for (const auto& doc : docs) {
-    std::vector<int> ids;
+    const std::size_t start = ids.size();
     for (const auto& w : doc) {
       const auto it = vocab_.find(w);
       if (it != vocab_.end()) ids.push_back(it->second);
     }
-    if (ids.size() > 1) indexed.push_back(std::move(ids));
+    if (ids.size() - start > 1) {
+      starts.push_back(ids.size());
+    } else {
+      ids.resize(start);
+    }
   }
 
   std::vector<double> grad(d);
+  std::vector<std::size_t> targets(
+      config.negatives >= 0 ? static_cast<std::size_t>(config.negatives) + 1
+                            : 0);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     const double lr = config.lr * (1.0 - static_cast<double>(epoch) /
                                              config.epochs) + 1e-4;
-    for (const auto& ids : indexed) {
-      for (std::size_t center = 0; center < ids.size(); ++center) {
+    for (std::size_t doc = 0; doc + 1 < starts.size(); ++doc) {
+      const int* doc_ids = ids.data() + starts[doc];
+      const std::size_t size = starts[doc + 1] - starts[doc];
+      for (std::size_t center = 0; center < size; ++center) {
         const std::size_t lo =
             center >= static_cast<std::size_t>(config.window)
                 ? center - config.window
                 : 0;
-        const std::size_t hi =
-            std::min(ids.size() - 1, center + config.window);
+        const std::size_t hi = std::min(size - 1, center + config.window);
+        double* in_row =
+            in_.data() + static_cast<std::size_t>(doc_ids[center]) * d;
         for (std::size_t ctx = lo; ctx <= hi; ++ctx) {
           if (ctx == center) continue;
-          const std::size_t wi = static_cast<std::size_t>(ids[center]) * d;
-          std::fill(grad.begin(), grad.end(), 0.0);
-          // Positive + negative samples.
-          for (int n = 0; n <= config.negatives; ++n) {
-            std::size_t target;
-            double label;
-            if (n == 0) {
-              target = static_cast<std::size_t>(ids[ctx]);
-              label = 1.0;
-            } else {
-              target = static_cast<std::size_t>(
-                  unigram_[rng.next_below(unigram_.size())]);
-              if (target == static_cast<std::size_t>(ids[ctx])) continue;
-              label = 0.0;
-            }
-            const std::size_t ti = target * d;
-            double dot = 0.0;
-            for (std::size_t k = 0; k < d; ++k) {
-              dot += in_[wi + k] * out_[ti + k];
-            }
-            const double g = (sigmoid(dot) - label) * lr;
-            for (std::size_t k = 0; k < d; ++k) {
-              grad[k] += g * out_[ti + k];
-              out_[ti + k] -= g * in_[wi + k];
-            }
+          // Draw every negative before any update; the draw order and
+          // the skip of a negative equal to the positive are the
+          // sequential loop's.
+          const auto positive = static_cast<std::size_t>(doc_ids[ctx]);
+          std::size_t count = 0;
+          if (config.negatives >= 0) targets[count++] = positive;
+          for (int n = 1; n <= config.negatives; ++n) {
+            const auto target = static_cast<std::size_t>(
+                unigram_[rng.next_below(unigram_.size())]);
+            if (target != positive) targets[count++] = target;
           }
-          for (std::size_t k = 0; k < d; ++k) in_[wi + k] -= grad[k];
+          sgd_pair(in_row, out_.data(), d, targets.data(), count, lr,
+                   grad.data());
         }
       }
     }

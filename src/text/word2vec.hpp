@@ -5,6 +5,7 @@
 // for each translation a single vector that captures the semantics of its
 // output logs."
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>

@@ -11,6 +11,7 @@
 #include "eval/classify.hpp"
 #include "eval/harness.hpp"
 #include "eval/report.hpp"
+#include "support/rng.hpp"
 
 using namespace pareval;
 using llm::Technique;
@@ -28,6 +29,12 @@ std::vector<eval::TaskResult> seed_corpus(const llm::Pair& pair,
   cfg.threads = threads;
   cfg.use_score_cache = false;
   return eval::run_pair_sweep(pair, cfg);
+}
+
+/// seed_corpus(all_pairs()[0], 8), swept once for the tests that share it.
+const std::vector<eval::TaskResult>& pair_zero_corpus() {
+  static const auto corpus = seed_corpus(llm::all_pairs()[0], 8);
+  return corpus;
 }
 
 }  // namespace
@@ -71,8 +78,7 @@ TEST(ClassifyProvenance, MatchesKeywordTableOnSeedCorpus) {
 }
 
 TEST(ClassifyProvenance, ExactForBuildRunAndDeviceFailures) {
-  const auto tasks = seed_corpus(llm::all_pairs()[0], 8);
-  const auto result = eval::classify_failures(tasks);
+  const auto result = eval::classify_failures(pair_zero_corpus());
   ASSERT_FALSE(result.logs.empty());
   // Every labelled sample is either provenance-exact or keyword-resolved.
   int labelled = 0;
@@ -190,6 +196,48 @@ TEST(ClassifyDeterminism, ClusterMergeStableAcrossThreadCounts) {
     EXPECT_EQ(a.logs[i].labelled, b.logs[i].labelled);
     EXPECT_EQ(a.logs[i].exact, b.logs[i].exact);
   }
+}
+
+TEST(ClassifyGolden, PairZeroCorpusPinned) {
+  // Golden pin of the whole §6.3 pipeline on one seed corpus, recorded
+  // before the word2vec and DBSCAN kernels were rewritten. Any change to
+  // the embedding arithmetic (summation order, FMA, fast-math) or to the
+  // clustering moves at least one of these values, so a speed-up that is
+  // not exact cannot land silently.
+  const auto result = eval::classify_failures(pair_zero_corpus());
+  std::string per_log;
+  for (const auto& log : result.logs) {
+    per_log += std::to_string(log.cluster) + ":" +
+               std::to_string(static_cast<int>(log.label)) + ":" +
+               (log.labelled ? "1" : "0") + ";";
+  }
+  std::string counts;
+  std::map<std::string, int> per_kind;
+  for (const auto& [kind, apps] : result.counts) {
+    for (const auto& [app, llms] : apps) {
+      for (const auto& [llm_name, n] : llms) {
+        counts += std::string(xlate::defect_name(kind)) + "/" + app + "/" +
+                  llm_name + "=" + std::to_string(n) + ";";
+        per_kind[xlate::defect_name(kind)] += n;
+      }
+    }
+  }
+  EXPECT_EQ(result.logs.size(), 411u);
+  EXPECT_EQ(result.raw_clusters, 28);
+  EXPECT_EQ(result.provenance_exact, 373);
+  EXPECT_EQ(result.keyword_fallback, 38);
+  EXPECT_EQ(support::stable_hash(per_log), 14501463361431495385ull);
+  EXPECT_EQ(support::stable_hash(counts), 5568499743865482694ull);
+  const std::map<std::string, int> expected_per_kind = {
+      {"CMake or Makefile Syntax Error", 86},
+      {"Function Argument or Type Mismatch", 15},
+      {"Invalid Compiler Flag", 102},
+      {"Linker Error", 38},
+      {"Makefile Missing Build Target", 117},
+      {"OpenMP Invalid Directive", 6},
+      {"Undeclared Identifier", 33},
+  };
+  EXPECT_EQ(per_kind, expected_per_kind);
 }
 
 TEST(ClassifyReport, StageBreakdownRendersProvenanceCounts) {

@@ -17,6 +17,8 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "buildsim/linkcache.hpp"
@@ -239,7 +241,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n",
               eval::stage_breakdown_report(suite, spec, all).c_str());
   std::printf("%s\n", eval::figure2_reports(suite, spec, all).c_str());
+  const auto t_classify = std::chrono::steady_clock::now();
   const auto classification = eval::classify_failures(all);
+  const double classify_ms = ms_since(t_classify);
   std::printf("%s\n",
               eval::figure3_report(suite, spec, classification).c_str());
   std::printf("%s\n", eval::figure4_report(suite, spec, all).c_str());
@@ -247,6 +251,15 @@ int main(int argc, char** argv) {
   std::printf("%s\n", eval::table1_report(suite).c_str());
   std::printf("%s\n", eval::table2_report(suite, all).c_str());
   const double reports_ms = ms_since(t_reports);
+  // Classification is the largest share of reports_ms. DBSCAN runs over
+  // distinct embeddings and identical logs embed identically, so the
+  // distinct count sizes the clustering.
+  std::unordered_set<std::string_view> distinct_logs;
+  for (const auto& cl : classification.logs) distinct_logs.insert(cl.log);
+  std::printf("classify: %.1f ms of %.1f ms reports, %zu failure logs, "
+              "%zu distinct\n",
+              classify_ms, reports_ms, classification.logs.size(),
+              distinct_logs.size());
 
   if (store.has_value()) {
     const std::size_t score_records = cache.flush();
@@ -414,6 +427,7 @@ int main(int argc, char** argv) {
   };
   benchmarks.push_back(bench_entry("figures_sweep", sweep_ms));
   benchmarks.push_back(bench_entry("figures_reports", reports_ms));
+  benchmarks.push_back(bench_entry("figures_classify", classify_ms));
   benchmarks.push_back(bench_entry("figures_total", sweep_ms + reports_ms));
   // Wall time inside ScoringPipeline::build_stage alone — what the
   // object-warm bench passes compare (scores are bit-identical across
