@@ -22,8 +22,11 @@
 #include "minic/bytecode.hpp"
 #include "minic/objcodec.hpp"
 #include "minic/runio.hpp"
+#include "support/cachestore.hpp"
+#include "support/json.hpp"
 #include "support/par.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "text/word2vec.hpp"
 #include "translate/transpile.hpp"
 
@@ -306,6 +309,55 @@ static void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadPoolSubmitDrain);
+
+// ---- store replay codecs ---------------------------------------------------
+// The three loops under cache::Store::replay: every frame's CRC-32, the
+// JSON parse of its payload, and the base64 decode of an object payload.
+
+static std::string seeded_bytes(std::size_t n) {
+  support::Rng rng(0xc0dec);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next_u64() & 0xffu);
+  return out;
+}
+
+static void BM_Crc32(benchmark::State& state) {
+  const std::string buf = seeded_bytes(std::size_t{1} << 20);
+  for (auto _ : state) benchmark::DoNotOptimize(cache::crc32(buf));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+static void BM_Base64Decode(benchmark::State& state) {
+  const std::string text =
+      support::base64_encode(seeded_bytes(std::size_t{3} << 18));
+  std::string out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::base64_decode(text, &out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_Base64Decode);
+
+static void BM_JsonParseObjRecord(benchmark::State& state) {
+  // An obj1 journal record: content key, manifest digest, and a ~16 KB
+  // base64 serialized-TU payload.
+  support::Json record = support::Json::object();
+  record.set("key", support::u64_to_hex(0x0123456789abcdefull));
+  record.set("mf", support::u64_to_hex(0xfedcba9876543210ull));
+  record.set("payload", support::base64_encode(seeded_bytes(12 * 1024)));
+  const std::string text = record.dump();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::Json::parse(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParseObjRecord);
 
 // ---- sweep orchestrator timing -------------------------------------------
 // Times the same reduced pair sweep three ways and writes the result as

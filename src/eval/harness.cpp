@@ -100,12 +100,16 @@ std::uint64_t scoring_pipeline_hash(const Suite& suite) {
 std::uint64_t scoring_pipeline_hash() {
   // apps::all_apps() in Table 1 order == Suite::paper()'s registration
   // order, so this is scoring_pipeline_hash(Suite::paper()) without
-  // touching the suite singleton (golden-pinned in the tests).
-  std::uint64_t h = support::stable_hash(std::string("score-pipeline-v1"));
-  for (const AppSpec* app : apps::all_apps()) {
-    fold_app_scoring_inputs(h, *app);
-  }
-  return h;
+  // touching the suite singleton (golden-pinned in the tests). The
+  // embedded apps never change, so the hash is computed once per process.
+  static const std::uint64_t hash = [] {
+    std::uint64_t h = support::stable_hash(std::string("score-pipeline-v1"));
+    for (const AppSpec* app : apps::all_apps()) {
+      fold_app_scoring_inputs(h, *app);
+    }
+    return h;
+  }();
+  return hash;
 }
 
 StagedScore ScoreCache::score(const AppSpec& app, const vfs::Repo& repo,

@@ -151,9 +151,10 @@ ScoreResult score_repo(const apps::AppSpec& app, const vfs::Repo& repo,
 /// scoring_pipeline_hash(suite) instead of the paper default.
 std::uint64_t scoring_pipeline_hash(const Suite& suite);
 
-/// The paper overload: folds apps::all_apps() (== Suite::paper()'s apps).
-/// Golden-pinned in the tests — the CI score-cache key must only move
-/// when scoring semantics actually change.
+/// The paper overload: folds apps::all_apps() (== Suite::paper()'s apps),
+/// once per process since the embedded apps are immutable. Golden-pinned
+/// in the tests — the CI score-cache key must only move when scoring
+/// semantics actually change.
 std::uint64_t scoring_pipeline_hash();
 
 /// Three-layer memoization of the staged scoring pipeline, sharded to keep

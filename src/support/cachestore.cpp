@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
@@ -20,16 +22,26 @@ constexpr std::string_view kFrameMagic = "PVJ1 ";
 // "PVJ1 " + 8-hex length + " " + 8-hex crc + "\n"
 constexpr std::size_t kHeaderSize = 5 + 8 + 1 + 8 + 1;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: row 0 is
+// the classic bytewise table, row k advances a byte through k further
+// zero bytes, so one 8-byte step folds eight lookups into the CRC at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
 std::string u32_to_hex(std::uint32_t v) {
@@ -46,10 +58,23 @@ bool u32_from_hex(std::string_view hex, std::uint32_t* out) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xffffffffu;
-  for (const char ch : bytes) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, 8);
+      const std::uint32_t lo = static_cast<std::uint32_t>(word) ^ c;
+      const std::uint32_t hi = static_cast<std::uint32_t>(word >> 32);
+      c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -9,8 +9,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 namespace pareval::support {
@@ -91,12 +89,32 @@ bool append_file(const std::string& path, std::string_view data) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return buf.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  // Size the buffer from fstat and read straight into it; the loop still
+  // runs to EOF, so a file that is not regular or changes size while it
+  // is read comes back whole.
+  struct stat st {};
+  const std::size_t hint =
+      ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  std::string out(hint + 1, '\0');
+  std::size_t len = 0;
+  while (true) {
+    if (len == out.size()) out.resize(out.size() * 2);
+    const ssize_t n = ::read(fd, out.data() + len, out.size() - len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return std::nullopt;
+    }
+    if (n == 0) break;
+    len += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(len);
+  return out;
 }
 
 std::size_t file_size(const std::string& path) {

@@ -28,8 +28,8 @@ bool atomic_write_file(const std::string& path, const std::string& content);
 /// not that a large record lands in one piece on every filesystem.
 bool append_file(const std::string& path, std::string_view data);
 
-/// The whole file as bytes; nullopt when it cannot be opened (a missing
-/// file is the common, non-error case for cold journals).
+/// The whole file as bytes; nullopt when it cannot be opened or read (a
+/// missing file is the common, non-error case for cold journals).
 std::optional<std::string> read_file(const std::string& path);
 
 /// Size of `path` in bytes; 0 when it does not exist.

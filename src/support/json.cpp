@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,33 @@ namespace pareval::support {
 namespace {
 const Json kNull;
 const std::string kEmpty;
+
+// Length of the leading run of `n` bytes at `p` that a JSON string holds
+// verbatim: every byte except '"', '\\' and the control bytes below 0x20.
+// Eight bytes at a time: a word is skipped whole when none of its bytes
+// can be special (the SWAR zero-byte test has no false negatives), and a
+// word that may hold one is finished bytewise.
+[[gnu::always_inline]] inline std::size_t plain_run(const char* p,
+                                                    std::size_t n) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + j, 8);
+    const std::uint64_t quote = w ^ (kOnes * '"');
+    const std::uint64_t slash = w ^ (kOnes * '\\');
+    const std::uint64_t special = ((quote - kOnes) & ~quote) |
+                                  ((slash - kOnes) & ~slash) |
+                                  ((w - kOnes * 0x20) & ~w);
+    if ((special & kHigh) != 0) break;
+  }
+  for (; j < n; ++j) {
+    const unsigned char u = static_cast<unsigned char>(p[j]);
+    if (u == '"' || u == '\\' || u < 0x20) break;
+  }
+  return j;
+}
 }  // namespace
 
 const std::string& Json::as_string() const noexcept {
@@ -63,8 +91,14 @@ namespace {
 
 void dump_string(const std::string& s, std::string& out) {
   out += '"';
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
+  std::size_t i = 0;
+  while (true) {
+    // UTF-8 (and any high byte) passes through verbatim with the run.
+    const std::size_t run = plain_run(s.data() + i, s.size() - i);
+    out.append(s, i, run);
+    i += run;
+    if (i == s.size()) break;
+    const char c = s[i++];
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -73,14 +107,12 @@ void dump_string(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 (and any high byte) passes through verbatim
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x",
+                      static_cast<unsigned char>(c));
+        out += buf;
+      }
     }
   }
   out += '"';
@@ -160,14 +192,17 @@ std::string Json::dump() const {
 
 // --- parsing ----------------------------------------------------------------
 
-namespace {
+struct Json::Parser {
+  static constexpr int kMaxDepth = 192;
 
-constexpr int kMaxDepth = 192;
-
-struct Parser {
   std::string_view s;
   std::size_t i = 0;
   std::string err;
+  // Elements and members of the arrays and objects still open, innermost
+  // last. A container moves its own tail into one exactly sized vector
+  // when it closes, instead of growing its vector element by element.
+  std::vector<Json> elems;
+  std::vector<Member> members;
 
   bool fail(const char* msg) {
     if (err.empty()) {
@@ -234,16 +269,13 @@ struct Parser {
   bool parse_string(std::string* out) {
     if (!consume('"')) return fail("expected '\"'");
     while (true) {
+      const std::size_t run = plain_run(s.data() + i, s.size() - i);
+      out->append(s.data() + i, run);
+      i += run;
       if (i >= s.size()) return fail("unterminated string");
       const char c = s[i++];
       if (c == '"') return true;
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) {
-          return fail("raw control character in string");
-        }
-        *out += c;
-        continue;
-      }
+      if (c != '\\') return fail("raw control character in string");
       if (i >= s.size()) return fail("unterminated escape");
       const char e = s[i++];
       switch (e) {
@@ -320,31 +352,36 @@ struct Parser {
         return literal("true") && (*out = Json(true), true);
       case 'f':
         return literal("false") && (*out = Json(false), true);
-      case '"': {
-        std::string str;
-        if (!parse_string(&str)) return false;
-        *out = Json(std::move(str));
-        return true;
-      }
+      case '"':
+        out->type_ = Type::String;
+        return parse_string(&out->str_);
       case '[': {
         ++i;
-        *out = Json::array();
+        out->type_ = Type::Array;
         skip_ws();
         if (consume(']')) return true;
+        if (elems.capacity() == 0) elems.reserve(16);
+        const std::size_t base = elems.size();
         while (true) {
           Json elem;
           if (!parse_value(&elem, depth + 1)) return false;
-          out->push_back(std::move(elem));
+          elems.push_back(std::move(elem));
           skip_ws();
-          if (consume(']')) return true;
+          if (consume(']')) break;
           if (!consume(',')) return fail("expected ',' or ']'");
         }
+        out->arr_.assign(std::make_move_iterator(elems.begin() + base),
+                         std::make_move_iterator(elems.end()));
+        elems.erase(elems.begin() + base, elems.end());
+        return true;
       }
       case '{': {
         ++i;
-        *out = Json::object();
+        out->type_ = Type::Object;
         skip_ws();
         if (consume('}')) return true;
+        if (members.capacity() == 0) members.reserve(16);
+        const std::size_t base = members.size();
         while (true) {
           skip_ws();
           std::string key;
@@ -353,19 +390,29 @@ struct Parser {
           if (!consume(':')) return fail("expected ':'");
           Json value;
           if (!parse_value(&value, depth + 1)) return false;
-          out->set(std::move(key), std::move(value));
+          // A repeated key keeps its first position, last value wins
+          // (what set() does).
+          auto m = members.begin() + base;
+          while (m != members.end() && m->first != key) ++m;
+          if (m != members.end()) {
+            m->second = std::move(value);
+          } else {
+            members.emplace_back(std::move(key), std::move(value));
+          }
           skip_ws();
-          if (consume('}')) return true;
+          if (consume('}')) break;
           if (!consume(',')) return fail("expected ',' or '}'");
         }
+        out->obj_.assign(std::make_move_iterator(members.begin() + base),
+                         std::make_move_iterator(members.end()));
+        members.erase(members.begin() + base, members.end());
+        return true;
       }
       default:
         return parse_number(out);
     }
   }
 };
-
-}  // namespace
 
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
   Parser p;

@@ -93,6 +93,8 @@ class Json {
   bool operator==(const Json&) const = default;
 
  private:
+  struct Parser;  // json.cpp: builds values in place
+
   Type type_ = Type::Null;
   bool bool_ = false;
   long long int_ = 0;

@@ -1,5 +1,6 @@
 #include "support/strings.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -118,37 +119,58 @@ std::string u64_to_hex(std::uint64_t v) {
   return strfmt("%016llx", static_cast<unsigned long long>(v));
 }
 
+namespace {
+
+// Value of every hex digit byte, -1 for any other byte.
+constexpr std::array<std::int8_t, 256> make_hex_values() {
+  std::array<std::int8_t, 256> values{};
+  for (auto& v : values) v = -1;
+  for (int i = 0; i < 10; ++i) values['0' + i] = static_cast<std::int8_t>(i);
+  for (int i = 0; i < 6; ++i) {
+    values['a' + i] = static_cast<std::int8_t>(10 + i);
+    values['A' + i] = static_cast<std::int8_t>(10 + i);
+  }
+  return values;
+}
+
+constexpr std::array<std::int8_t, 256> kHexValues = make_hex_values();
+
+constexpr char kB64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+// Sextet value of every byte, -1 for a byte outside the alphabet ('='
+// included: padding is only ever read by position).
+constexpr std::array<std::int8_t, 256> make_b64_values() {
+  std::array<std::int8_t, 256> values{};
+  for (auto& v : values) v = -1;
+  for (int i = 0; i < 64; ++i) {
+    values[static_cast<unsigned char>(kB64Alphabet[i])] =
+        static_cast<std::int8_t>(i);
+  }
+  return values;
+}
+
+constexpr std::array<std::int8_t, 256> kB64Values = make_b64_values();
+
+int b64_value(char c) { return kB64Values[static_cast<unsigned char>(c)]; }
+
+}  // namespace
+
 bool u64_from_hex(std::string_view hex, std::uint64_t* out) {
   // Strict: strtoull would accept signs, whitespace, and "0x" prefixes,
   // any of which would silently mangle a hand-edited cache key.
   if (hex.empty() || hex.size() > 16) return false;
   std::uint64_t v = 0;
+  int bad = 0;  // goes negative on the first non-digit
   for (const char c : hex) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else return false;
+    const int digit = kHexValues[static_cast<unsigned char>(c)];
+    bad |= digit;
+    v = (v << 4) | static_cast<std::uint64_t>(digit & 0xf);
   }
+  if (bad < 0) return false;
   *out = v;
   return true;
 }
-
-namespace {
-
-constexpr char kB64Alphabet[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-int b64_value(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
-  return -1;
-}
-
-}  // namespace
 
 std::string base64_encode(std::string_view bytes) {
   std::string out;
@@ -181,30 +203,48 @@ std::string base64_encode(std::string_view bytes) {
 }
 
 bool base64_decode(std::string_view text, std::string* out) {
-  if (text.size() % 4 != 0) return false;
   out->clear();
-  out->reserve(text.size() / 4 * 3);
-  for (std::size_t i = 0; i < text.size(); i += 4) {
-    const bool last = i + 4 == text.size();
-    int pad = 0;
-    if (last && text[i + 3] == '=') pad = text[i + 2] == '=' ? 2 : 1;
-    int vals[4] = {0, 0, 0, 0};
-    for (int k = 0; k < 4 - pad; ++k) {
-      vals[k] = b64_value(text[i + static_cast<std::size_t>(k)]);
-      if (vals[k] < 0) return false;
-    }
-    const unsigned v = (static_cast<unsigned>(vals[0]) << 18) |
-                       (static_cast<unsigned>(vals[1]) << 12) |
-                       (static_cast<unsigned>(vals[2]) << 6) |
-                       static_cast<unsigned>(vals[3]);
-    // Stray low bits mean this was not produced by encode: reject rather
-    // than silently truncate.
-    if (pad == 2 && (v & 0xffff) != 0) return false;
-    if (pad == 1 && (v & 0xff) != 0) return false;
-    out->push_back(static_cast<char>((v >> 16) & 0xff));
-    if (pad < 2) out->push_back(static_cast<char>((v >> 8) & 0xff));
-    if (pad < 1) out->push_back(static_cast<char>(v & 0xff));
+  const auto reject = [out] {
+    out->clear();
+    return false;
+  };
+  if (text.size() % 4 != 0) return false;
+  if (text.empty()) return true;
+  out->resize(text.size() / 4 * 3);
+  char* dst = out->data();
+  const char* src = text.data();
+  const char* const last = src + text.size() - 4;
+  // Every quad but the last is four alphabet bytes: one table lookup
+  // each, and a negative OR flags any byte outside the alphabet.
+  for (; src != last; src += 4, dst += 3) {
+    const int a = b64_value(src[0]), b = b64_value(src[1]);
+    const int c = b64_value(src[2]), d = b64_value(src[3]);
+    if ((a | b | c | d) < 0) return reject();
+    const unsigned v = (static_cast<unsigned>(a) << 18) |
+                       (static_cast<unsigned>(b) << 12) |
+                       (static_cast<unsigned>(c) << 6) |
+                       static_cast<unsigned>(d);
+    dst[0] = static_cast<char>(v >> 16);
+    dst[1] = static_cast<char>(v >> 8);
+    dst[2] = static_cast<char>(v);
   }
+  int pad = 0;
+  if (src[3] == '=') pad = src[2] == '=' ? 2 : 1;
+  unsigned v = 0;
+  for (int k = 0; k < 4; ++k) {
+    const int sextet = k < 4 - pad ? b64_value(src[k]) : 0;
+    if (sextet < 0) return reject();
+    v = (v << 6) | static_cast<unsigned>(sextet);
+  }
+  // Stray low bits mean this was not produced by encode: reject rather
+  // than silently truncate.
+  if ((pad == 2 && (v & 0xffff) != 0) || (pad == 1 && (v & 0xff) != 0)) {
+    return reject();
+  }
+  dst[0] = static_cast<char>(v >> 16);
+  dst[1] = static_cast<char>(v >> 8);
+  dst[2] = static_cast<char>(v);
+  out->resize(out->size() - static_cast<std::size_t>(pad));
   return true;
 }
 

@@ -55,9 +55,9 @@ bool u64_from_hex(std::string_view hex, std::uint64_t* out);
 
 /// Standard (RFC 4648) base64 with '=' padding, and its strict inverse:
 /// decode rejects any string that is not exactly what encode produces
-/// (bad alphabet, wrong padding, stray bits) by returning false. Used to
-/// embed binary cache payloads (serialized TU objects, link images)
-/// inside the JSON journal records.
+/// (bad alphabet, wrong padding, stray bits) by returning false and
+/// leaving `*out` empty. Used to embed binary cache payloads (serialized
+/// TU objects, link images) inside the JSON journal records.
 std::string base64_encode(std::string_view bytes);
 bool base64_decode(std::string_view text, std::string* out);
 

@@ -7,9 +7,11 @@
 // store directory.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +23,7 @@
 #include "support/cachestore.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace pc = pareval::cache;
@@ -319,4 +322,94 @@ TEST(CacheStore, VersionedFileHelpersRoundTripAndReject) {
   EXPECT_FALSE(
       pc::read_versioned_file(path, "test-format-v1", kVersion + 1));
   std::remove(path.c_str());
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+namespace {
+
+/// The bytewise table-driven CRC-32 the frame checksum has always been:
+/// the oracle the word-at-a-time crc32 must match bit for bit.
+std::uint32_t bytewise_crc32(std::string_view bytes) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xffffffffu;
+  for (const char ch : bytes) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string seeded_bytes(std::size_t n, std::uint64_t seed) {
+  ps::Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next_u64() & 0xffu);
+  return out;
+}
+
+}  // namespace
+
+TEST(Crc32, KnownValues) {
+  EXPECT_EQ(pc::crc32(""), 0u);
+  EXPECT_EQ(pc::crc32("123456789"), 0xcbf43926u);
+}
+
+TEST(Crc32, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  // Lengths 0-300 from start offsets 0-7 cover every split of a buffer
+  // into unaligned head, whole 8-byte words, and bytewise tail.
+  const std::string buf = seeded_bytes(8 + 300, 0xc3c3);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view bytes(buf.data() + offset, len);
+      ASSERT_EQ(pc::crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBytewiseOracleOnOneMebibyte) {
+  const std::string buf = seeded_bytes(std::size_t{1} << 20, 0x5eed);
+  EXPECT_EQ(pc::crc32(buf), bytewise_crc32(buf));
+}
+
+// --- read_file ---------------------------------------------------------------
+
+TEST(ReadFile, ReturnsWholeFilesAndNulloptWhenMissing) {
+  const std::string dir = temp_store_dir("rf_files");
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(ps::read_file(dir + "/missing"), std::nullopt);
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 (std::size_t{1} << 20) + 3}) {
+    const std::string path = dir + "/f" + std::to_string(size);
+    const std::string bytes = seeded_bytes(size, size);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+    EXPECT_EQ(ps::read_file(path), bytes) << "size " << size;
+  }
+}
+
+TEST(ReadFile, ReadsANonRegularFileToEof) {
+  // A FIFO reports no size, so the buffer grows while it is read.
+  const std::string path = temp_store_dir("rf_fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const std::string bytes = seeded_bytes(100000, 7);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  });
+  const auto got = ps::read_file(path);
+  writer.join();
+  EXPECT_EQ(got, bytes);
+  std::filesystem::remove(path);
 }

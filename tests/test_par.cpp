@@ -7,10 +7,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <ctime>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "eval/harness.hpp"
 #include "support/par.hpp"
@@ -206,9 +208,11 @@ TEST(ThreadPool, HighPriorityTasksDrainFirst) {
 
 TEST(ThreadPool, DrainCompletesQueuedTasksAndPoolStaysUsable) {
   // Block the lone worker so submissions pile up queued-but-unstarted,
-  // then drain() from the test thread: it must help-execute every queued
-  // task before returning, and the pool must keep working afterwards —
-  // the between-jobs idle point of a long-lived server.
+  // then drain() from the test thread: the queues must be empty when it
+  // returns, every task must complete, and the pool must keep working
+  // afterwards — the between-jobs idle point of a long-lived server.
+  // drain() does not wait for a task the released worker already popped,
+  // so completion is awaited through the futures.
   ps::ThreadPool pool(1);
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
@@ -220,11 +224,15 @@ TEST(ThreadPool, DrainCompletesQueuedTasksAndPoolStaysUsable) {
 
   std::atomic<int> ran{0};
   constexpr int kTasks = 16;
+  std::vector<std::future<void>> futures;
   for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
+    futures.push_back(pool.submit([&] { ran.fetch_add(1); }));
   }
   release.store(true);
   pool.drain();
+  EXPECT_FALSE(pool.run_pending_task()) << "drain() left a queued task";
+  pool.await(blocker);
+  for (auto& f : futures) pool.await(f);
   EXPECT_EQ(ran.load(), kTasks);
 
   auto after = pool.submit([] { return 6 * 7; });
