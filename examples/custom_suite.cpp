@@ -123,15 +123,18 @@ int main() {
               cache.builds().misses());
 
   // A custom suite persists its cache under its *own* scoring-pipeline
-  // hash, so a file produced here can never warm-start a sweep of a
+  // hash, so a store written here can never warm-start a sweep of a
   // different suite (and vice versa) — version-level invalidation on top
   // of the per-entry keys.
   const std::uint64_t version = eval::scoring_pipeline_hash(suite);
   std::printf("suite pipeline hash %s (paper: %s)\n",
               support::u64_to_hex(version).c_str(),
               support::u64_to_hex(eval::scoring_pipeline_hash()).c_str());
-  if (cache.save("custom_suite_cache.json", version)) {
-    std::printf("persisted the suite's cache to custom_suite_cache.json\n");
+  cache::Store store("custom_suite_store");
+  if (store.open()) {
+    cache.attach(store, version);
+    std::printf("persisted %zu scores to custom_suite_store\n",
+                cache.flush());
   }
   return 0;
 }

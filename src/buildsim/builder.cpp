@@ -148,20 +148,13 @@ class CommandRunner {
       link_keys.push_back(obj.key);
       link_inputs.push_back(std::move(obj.tu));
     }
-    std::uint64_t link_key = 0;
-    execsim::Executable exe;
-    bool linked_warm = false;
-    if (keyed) {
-      link_key = LinkCache::link_key(link_keys, result_.caps);
-      if (auto cached =
-              link_cache_->lookup(link_key, link_inputs, result_.caps)) {
-        exe = std::move(*cached);
-        linked_warm = true;
-      }
-    }
-    if (!linked_warm) {
-      exe = execsim::link_tus(std::move(link_inputs), result_.caps);
-    }
+    auto cold_link = [&] {
+      return execsim::link_tus(link_inputs, result_.caps);
+    };
+    execsim::Executable exe =
+        keyed ? link_cache_->link(LinkCache::link_key(link_keys, result_.caps),
+                                  link_inputs, result_.caps, cold_link)
+              : cold_link();
     // TU diagnostics were already appended above; keep only new link ones.
     DiagBag link_only;
     for (const auto& d : exe.diags.all()) {
@@ -169,7 +162,6 @@ class CommandRunner {
     }
     append(link_only);
     if (link_only.has_errors()) return false;
-    if (keyed && !linked_warm) link_cache_->record(link_key, exe);
     result_.exe = std::move(exe);
     return true;
   }

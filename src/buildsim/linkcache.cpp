@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "minic/bytecode.hpp"
 #include "minic/objcodec.hpp"
 #include "support/rng.hpp"
+#include "support/sharded_cache.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::buildsim {
@@ -302,34 +302,25 @@ struct LinkCache::Impl {
   struct Entry {
     std::optional<execsim::Executable> exe;  // live outcome (shares TUs)
     std::string payload;                     // serialized, if replayed
-    std::uint64_t last_used = 0;
     bool published = false;  // record already in the attached store
   };
 
-  std::uint64_t tick() noexcept {
-    return clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Caller holds mu.
-  void bound_locked() {
-    const std::size_t bound =
-        std::max<std::size_t>(1, capacity.load(std::memory_order_relaxed));
-    while (entries.size() > bound) {
-      auto victim = entries.begin();
-      for (auto it = std::next(victim); it != entries.end(); ++it) {
-        if (it->second.last_used < victim->second.last_used) victim = it;
+  /// The live executable of `key`, counted as a hit; nullopt otherwise.
+  std::optional<execsim::Executable> live(std::uint64_t key) {
+    return entries.visit(key, [this](Entry* entry) {
+      std::optional<execsim::Executable> exe;
+      if (entry != nullptr && entry->exe.has_value()) {
+        hits.fetch_add(1, std::memory_order_relaxed);
+        exe = entry->exe;
       }
-      entries.erase(victim);
-    }
+      return exe;
+    });
   }
 
-  mutable std::mutex mu;
-  std::unordered_map<std::uint64_t, Entry> entries;
+  support::ShardedCache<std::uint64_t, Entry> entries{1 << 12};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> persisted_hits{0};
   std::atomic<std::size_t> misses{0};
-  std::atomic<std::uint64_t> clock{0};
-  std::atomic<std::size_t> capacity{1 << 12};
   cache::Store* store = nullptr;
   std::uint64_t store_version = 0;
 };
@@ -347,54 +338,50 @@ std::uint64_t LinkCache::link_key(const std::vector<std::uint64_t>& tu_keys,
   return h;
 }
 
-std::optional<execsim::Executable> LinkCache::lookup(
+execsim::Executable LinkCache::link(
     std::uint64_t key,
     const std::vector<std::shared_ptr<TranslationUnit>>& tus,
-    const Capabilities& caps) {
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    const auto it = impl_->entries.find(key);
-    if (it == impl_->entries.end()) {
-      impl_->misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    it->second.last_used = impl_->tick();
-    if (it->second.exe.has_value()) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return *it->second.exe;
-    }
-    payload = it->second.payload;
-  }
+    const Capabilities& caps,
+    const std::function<execsim::Executable()>& cold_link) {
+  for (;;) {
+    if (auto exe = impl_->live(key)) return std::move(*exe);
+    const auto flight = impl_->entries.claim(key);
+    if (!flight) continue;
+    // Owner: the link may have landed between the lookup and the claim.
+    if (auto exe = impl_->live(key)) return std::move(*exe);
 
-  // Decode outside the lock (chunk decoding is the expensive part).
-  auto exe = payload.empty() ? std::nullopt
-                             : decode_link(payload, tus, caps);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto it = impl_->entries.find(key);
-  if (!exe.has_value()) {
-    // Corrupt/stale payload: drop it so later lookups miss cheaply.
-    if (it != impl_->entries.end() && !it->second.exe.has_value()) {
-      it->second.payload.clear();
+    std::string payload;
+    impl_->entries.visit(key, [&payload](Impl::Entry* entry) {
+      if (entry != nullptr) payload = entry->payload;
+    });
+    // Decode outside the shard lock (chunk decoding is the expensive
+    // part); the flight keeps other threads from decoding it too.
+    if (!payload.empty()) {
+      if (auto exe = decode_link(payload, tus, caps)) {
+        impl_->entries.visit(key, [&exe](Impl::Entry* entry) {
+          if (entry != nullptr) entry->exe = *exe;  // later lookups: hits
+        });
+        impl_->persisted_hits.fetch_add(1, std::memory_order_relaxed);
+        return std::move(*exe);
+      }
+      // Corrupt/stale payload: drop it so later lookups miss cheaply.
+      impl_->entries.visit(key, [](Impl::Entry* entry) {
+        if (entry != nullptr) entry->payload.clear();
+      });
     }
     impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    execsim::Executable exe = cold_link();
+    // Only successful links are recorded: failed ones re-run through the
+    // real linker. The entry copy shares the TUs, builtin table, and
+    // ChunkPack, so chunks the VM compiles while the program runs are
+    // already in the recorded entry when flush() serializes it.
+    if (exe.ok()) {
+      impl_->entries.upsert(key, [&exe](Impl::Entry& entry) {
+        if (!entry.exe.has_value()) entry.exe = exe;
+      });
+    }
+    return exe;
   }
-  if (it != impl_->entries.end() && !it->second.exe.has_value()) {
-    it->second.exe = *exe;  // upgrade: later lookups are in-memory hits
-  }
-  impl_->persisted_hits.fetch_add(1, std::memory_order_relaxed);
-  return exe;
-}
-
-void LinkCache::record(std::uint64_t key, const execsim::Executable& exe) {
-  if (!exe.ok()) return;  // failed links re-run through the real linker
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto& entry = impl_->entries[key];
-  entry.last_used = impl_->tick();
-  if (entry.exe.has_value()) return;  // links are pure: first copy wins
-  entry.exe = exe;
-  impl_->bound_locked();
 }
 
 std::size_t LinkCache::hits() const noexcept { return impl_->hits.load(); }
@@ -408,13 +395,9 @@ std::size_t LinkCache::lookups() const noexcept {
   return hits() + persisted_hits() + misses();
 }
 
-std::size_t LinkCache::size() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->entries.size();
-}
+std::size_t LinkCache::size() const { return impl_->entries.size(); }
 
 void LinkCache::clear() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->entries.clear();
   impl_->hits.store(0);
   impl_->persisted_hits.store(0);
@@ -422,10 +405,7 @@ void LinkCache::clear() {
 }
 
 void LinkCache::set_capacity(std::size_t max_entries) {
-  impl_->capacity.store(std::max<std::size_t>(1, max_entries),
-                        std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->bound_locked();
+  impl_->entries.set_capacity(max_entries);
 }
 
 bool LinkCache::load_records(cache::Store& store, std::uint64_t version,
@@ -440,12 +420,10 @@ bool LinkCache::load_records(cache::Store& store, std::uint64_t version,
             !support::base64_decode(j["payload"].as_string(), &payload)) {
           return;
         }
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        auto& entry = impl_->entries[key];
-        entry.payload = std::move(payload);  // journal replay: last wins
-        entry.published = published;
-        if (entry.last_used == 0) entry.last_used = impl_->tick();
-        impl_->bound_locked();
+        impl_->entries.upsert(key, [&](Impl::Entry& entry) {
+          entry.payload = std::move(payload);  // journal replay: last wins
+          entry.published = published;
+        });
       });
 }
 
@@ -468,22 +446,20 @@ std::size_t LinkCache::flush() {
     std::optional<execsim::Executable> exe;   // encode this if set
   };
   std::vector<Pending> pending;
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    for (auto& [key, entry] : impl.entries) {
-      if (entry.published) continue;
-      Pending p;
-      p.key = key;
-      if (!entry.payload.empty()) {
-        p.payload = entry.payload;
-      } else if (entry.exe.has_value()) {
-        p.exe = entry.exe;  // shallow shares: encode outside the lock
-      } else {
-        continue;
-      }
-      pending.push_back(std::move(p));
+  impl.entries.for_each([&pending](std::uint64_t key,
+                                   const Impl::Entry& entry) {
+    if (entry.published) return;
+    Pending p;
+    p.key = key;
+    if (!entry.payload.empty()) {
+      p.payload = entry.payload;
+    } else if (entry.exe.has_value()) {
+      p.exe = entry.exe;  // shallow shares: encode outside the lock
+    } else {
+      return;
     }
-  }
+    pending.push_back(std::move(p));
+  });
   std::sort(pending.begin(), pending.end(),
             [](const Pending& a, const Pending& b) { return a.key < b.key; });
 
@@ -506,12 +482,10 @@ std::size_t LinkCache::flush() {
       minic::obj_stream_version(impl.store_version);
   if (!impl.store->append_batch(kStream, version, records)) return 0;
 
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    for (const std::uint64_t key : appended) {
-      const auto it = impl.entries.find(key);
-      if (it != impl.entries.end()) it->second.published = true;
-    }
+  for (const std::uint64_t key : appended) {
+    impl.entries.visit(key, [](Impl::Entry* entry) {
+      if (entry != nullptr) entry->published = true;
+    });
   }
   impl.store->maybe_compact(kStream, version);
   return appended.size();

@@ -24,8 +24,8 @@
 // cold-starts it together with "obj1".
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "execsim/driver.hpp"
@@ -47,27 +47,25 @@ class LinkCache {
   static std::uint64_t link_key(const std::vector<std::uint64_t>& tu_keys,
                                 const minic::Capabilities& caps);
 
-  /// Warm lookup. `tus` are the link's inputs in command order (already
-  /// compiled — the TU layer sits below this one) and `caps` the build's
-  /// capability union; both must be the ones folded into `key`. Returns a
-  /// ready Executable on a hit: an in-memory hit shares the recorded
-  /// program outright, a persisted hit decodes the payload against `tus`
-  /// and upgrades the entry. nullopt — including on a corrupt or
-  /// version-bumped payload — is a clean miss; the caller links cold.
-  std::optional<execsim::Executable> lookup(
+  /// The executable of the link `key`. `tus` are the link's inputs in
+  /// command order (already compiled — the TU layer sits below this one)
+  /// and `caps` the build's capability union; both must be the ones folded
+  /// into `key`. An in-memory hit shares the recorded program outright; a
+  /// persisted hit decodes the replayed payload against `tus` and upgrades
+  /// the entry; otherwise — including on a corrupt or version-bumped
+  /// payload — `cold_link` runs and a successful result is recorded.
+  /// Lookup, decode, cold link, and record run inside one single-flight
+  /// section per key, so racing builds never decode or link one key twice.
+  execsim::Executable link(
       std::uint64_t key,
       const std::vector<std::shared_ptr<minic::TranslationUnit>>& tus,
-      const minic::Capabilities& caps);
-
-  /// Record a *successful* fresh link (no-op for executables with
-  /// errors). The cache copies the Executable: the copy shares the TUs,
-  /// builtin table, and ChunkPack, so chunks the VM compiles while the
-  /// program runs are already in the recorded entry when flush()
-  /// serializes it.
-  void record(std::uint64_t key, const execsim::Executable& exe);
+      const minic::Capabilities& caps,
+      const std::function<execsim::Executable()>& cold_link);
 
   /// Counters, mirroring the TU layer: hits() in-memory, persisted_hits()
-  /// payload decodes, misses() cold links through this cache.
+  /// payload decodes, misses() cold links through this cache (one per key
+  /// for successful links; failed links are not recorded and count on
+  /// every call).
   std::size_t hits() const noexcept;
   std::size_t persisted_hits() const noexcept;
   std::size_t misses() const noexcept;

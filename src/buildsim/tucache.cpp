@@ -1,18 +1,14 @@
 #include "buildsim/tucache.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <fstream>
-#include <mutex>
-#include <sstream>
 #include <unordered_map>
 
 #include "execsim/driver.hpp"
 #include "minic/objcodec.hpp"
-#include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/sharded_cache.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::buildsim {
@@ -140,8 +136,6 @@ std::uint64_t build_plan_key(const vfs::Repo& repo,
 // --- Impl -------------------------------------------------------------------
 
 struct TuCompileCache::Impl {
-  static constexpr std::size_t kShards = 16;
-
   struct Dep {
     std::string path;
     std::uint64_t hash = 0;
@@ -161,30 +155,25 @@ struct TuCompileCache::Impl {
 
   struct Entry {
     std::shared_ptr<const Manifest> manifest;
-    /// The live value. nullptr for an outcome-only entry loaded from a
-    /// persisted file: its diags/system_headers below are the payload, and
-    /// a failed one reconstructs a TU on demand (a successful one cannot —
-    /// the AST is not persisted — so its compile re-runs and upgrades it).
+    /// The live value. nullptr for an outcome-only entry replayed from a
+    /// store: its diags/system_headers below are the payload, and a
+    /// failed one reconstructs a TU on demand (a successful one needs its
+    /// warm object, or its compile re-runs and upgrades it).
     std::shared_ptr<TranslationUnit> tu;
     bool ok = true;
     DiagBag diags;
     std::vector<std::string> system_headers;
     /// Serialized post-sema TU (minic::encode_tu) for a successful
     /// compile — empty until flush() encodes the live TU, or filled by
-    /// replaying an "obj1" record. Never part of the legacy single-file
-    /// format.
+    /// replaying an "obj1" record.
     std::string obj;
-    std::uint64_t last_used = 0;
-    bool fresh = false;  // added by a compile here (not merged via load)
     bool published = false;  // already in the attached store's journal
     bool obj_published = false;  // obj payload already in the "obj1" stream
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<Entry>> groups;
-    std::size_t count = 0;  // entries across all groups
-  };
+  /// Every cached compile of one primary key: one entry per distinct
+  /// dependency manifest. The unit of the LRU bound and of single-flight.
+  using Group = std::vector<Entry>;
 
   struct Plan {
     bool ok = false;
@@ -193,19 +182,8 @@ struct TuCompileCache::Impl {
     std::string log;
     DiagBag diags;
     std::vector<std::uint64_t> tus;  // compile-plan digest, command order
-    std::uint64_t last_used = 0;
-    bool fresh = false;
     bool published = false;
   };
-
-  std::size_t shard_capacity() const noexcept {
-    const std::size_t cap = capacity.load(std::memory_order_relaxed);
-    return std::max<std::size_t>(1, cap / kShards);
-  }
-
-  std::uint64_t tick() noexcept {
-    return clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 
   /// Does `manifest` describe this repo's exact input set? Runs OUTSIDE
   /// the shard lock (manifests are immutable and pointer-shared);
@@ -233,20 +211,6 @@ struct TuCompileCache::Impl {
     return true;
   }
 
-  /// Evict least-recently-used plans past the capacity bound. Caller
-  /// holds plans_mu.
-  void bound_plans_locked() {
-    const std::size_t bound = std::max<std::size_t>(
-        kShards, capacity.load(std::memory_order_relaxed));
-    while (plans.size() > bound) {
-      auto victim = plans.begin();
-      for (auto it = std::next(victim); it != plans.end(); ++it) {
-        if (it->second.last_used < victim->second.last_used) victim = it;
-      }
-      plans.erase(victim);
-    }
-  }
-
   /// Exactly the `order` string entry_json emits — the manifest's
   /// serialized identity (and sort tiebreaker for entries sharing a key).
   static std::string manifest_order(const Manifest& manifest) {
@@ -265,9 +229,9 @@ struct TuCompileCache::Impl {
     return support::stable_hash(manifest_order(manifest));
   }
 
-  /// The TU layer's record codec, shared by the legacy single-file
-  /// format and the journaled store. `order_out` (optional) receives the
-  /// manifest tiebreaker string used to sort entries sharing a key.
+  /// The TU layer's record codec in the journaled store. `order_out`
+  /// (optional) receives the manifest tiebreaker string used to sort
+  /// entries sharing a key.
   static Json entry_json(std::uint64_t key, const Entry& entry,
                          std::string* order_out) {
     Json j = Json::object();
@@ -370,66 +334,139 @@ struct TuCompileCache::Impl {
     return true;
   }
 
-  /// Insert a deserialized outcome-only entry; an entry already present
-  /// for the same (key, manifest) wins — compiles are pure, so it holds
-  /// the same outcome (and possibly a live TU).
-  void insert_loaded_entry(std::uint64_t key, Entry entry, bool published) {
-    entry.fresh = false;
-    entry.published = published;
-    entry.last_used = tick();
-    Shard& shard = shards[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto& group = shard.groups[key];
-    for (const Entry& existing : group) {
-      if (*existing.manifest == *entry.manifest) return;
-    }
-    group.push_back(std::move(entry));
-    ++shard.count;
-    evict_locked(shard, shard_capacity());
-  }
+  /// The landed entry of `key` whose manifest matches this repo, as a TU:
+  /// a live hit, a failed outcome reconstructed from its diagnostics, or a
+  /// decoded warm object. nullptr when no entry serves the repo — the
+  /// caller compiles. Counts the hit it returns.
+  std::shared_ptr<TranslationUnit> resolve(const vfs::Repo& repo,
+                                           const std::string& source,
+                                           std::uint64_t key,
+                                           std::uint64_t* obj_key_out) {
+    // Snapshot the candidate manifests under the lock (cheap pointer
+    // copies — manifests are immutable and shared).
+    std::vector<std::shared_ptr<const Manifest>> candidates;
+    tus.visit(key, [&candidates](Group* group) {
+      if (group == nullptr) return;
+      candidates.reserve(group->size());
+      for (const Entry& entry : *group) candidates.push_back(entry.manifest);
+    });
 
-  void insert_loaded_plan(std::uint64_t key, Plan plan, bool published) {
-    plan.fresh = false;
-    plan.published = published;
-    plan.last_used = tick();
-    std::lock_guard<std::mutex> lock(plans_mu);
-    plans.emplace(key, std::move(plan));  // existing entry wins
-    bound_plans_locked();
-  }
-
-  static void evict_locked(Shard& shard, std::size_t bound) {
-    while (shard.count > bound) {
-      auto victim_group = shard.groups.end();
-      std::size_t victim_index = 0;
-      for (auto it = shard.groups.begin(); it != shard.groups.end(); ++it) {
-        for (std::size_t i = 0; i < it->second.size(); ++i) {
-          if (victim_group == shard.groups.end() ||
-              it->second[i].last_used <
-                  victim_group->second[victim_index].last_used) {
-            victim_group = it;
-            victim_index = i;
-          }
+    // Validate outside the lock — content hashing must not serialize
+    // concurrent builds behind a shard mutex. The memo dedupes hashing of
+    // files several candidates share.
+    std::shared_ptr<const Manifest> valid;
+    {
+      std::unordered_map<std::string_view, std::uint64_t> hash_memo;
+      for (const auto& manifest : candidates) {
+        if (manifest_valid(repo, *manifest, hash_memo)) {
+          valid = manifest;
+          break;
         }
       }
-      if (victim_group == shard.groups.end()) return;
-      victim_group->second.erase(victim_group->second.begin() +
-                                 static_cast<std::ptrdiff_t>(victim_index));
-      if (victim_group->second.empty()) shard.groups.erase(victim_group);
-      --shard.count;
     }
+    if (valid == nullptr) return nullptr;
+
+    // Resolve the validated entry (it may have been evicted while
+    // unlocked — then it is simply a miss).
+    return tus.visit(key, [&](Group* group)
+                              -> std::shared_ptr<TranslationUnit> {
+      if (group == nullptr) return nullptr;
+      const auto it = std::find_if(
+          group->begin(), group->end(),
+          [&valid](const Entry& e) { return e.manifest == valid; });
+      if (it == group->end()) return nullptr;
+      Entry& entry = *it;
+      if (obj_key_out != nullptr) {
+        *obj_key_out = fold(key, manifest_digest(*entry.manifest));
+      }
+      if (entry.tu != nullptr) {
+        hits.fetch_add(1, std::memory_order_relaxed);
+        return entry.tu;
+      }
+      if (!entry.ok) {
+        // A persisted *failed* compile: the build stops on its
+        // diagnostics before ever linking, so a TU carrying exactly the
+        // persisted diagnostics is bit-identical downstream — no
+        // recompile needed.
+        auto tu = std::make_shared<TranslationUnit>();
+        tu->path = source;
+        tu->diags = entry.diags;
+        tu->system_headers = entry.system_headers;
+        tu->resolved_files.reserve(entry.manifest->deps.size());
+        for (const Dep& dep : entry.manifest->deps) {
+          tu->resolved_files.push_back(dep.path);
+        }
+        tu->missing_probes = entry.manifest->missing;
+        entry.tu = tu;  // upgrade: later lookups are plain hits
+        persisted_hits.fetch_add(1, std::memory_order_relaxed);
+        return tu;
+      }
+      // A persisted *successful* compile: deserialize its warm object if
+      // the store replayed one — the decoded TU is the full post-sema
+      // AST, so nothing re-runs. A corrupt, truncated, or version-bumped
+      // payload decodes to nullptr and falls through to a plain
+      // recompile (which upgrades the entry in place), as does an entry
+      // persisted before the object layer existed.
+      if (object_layer.load(std::memory_order_relaxed) &&
+          !entry.obj.empty()) {
+        if (auto tu = minic::decode_tu(entry.obj)) {
+          entry.tu = tu;
+          persisted_hits.fetch_add(1, std::memory_order_relaxed);
+          obj_hits.fetch_add(1, std::memory_order_relaxed);
+          return tu;
+        }
+      }
+      return nullptr;
+    });
   }
 
-  std::array<Shard, kShards> shards;
-  mutable std::mutex plans_mu;
-  std::unordered_map<std::uint64_t, Plan> plans;
+  /// Compile `source` and land the outcome under `key`. The caller owns
+  /// the key's flight, so no other thread compiles this key meanwhile.
+  std::shared_ptr<TranslationUnit> compile_and_insert(
+      const vfs::Repo& repo, const std::string& source,
+      const Capabilities& caps, const TuDefines& defines, std::uint64_t key,
+      std::uint64_t* obj_key_out) {
+    auto tu = execsim::compile_tu(repo, source, caps, defines);
+    misses.fetch_add(1, std::memory_order_relaxed);
+
+    auto manifest = std::make_shared<Manifest>();
+    manifest->deps.reserve(tu->resolved_files.size());
+    for (const std::string& path : tu->resolved_files) {
+      // Every resolved file was just read by the preprocessor, so it
+      // exists.
+      manifest->deps.push_back({path, support::stable_hash(repo.at(path))});
+    }
+    manifest->missing = tu->missing_probes;
+    if (obj_key_out != nullptr) {
+      *obj_key_out = fold(key, manifest_digest(*manifest));
+    }
+
+    tus.upsert(key, [&](Group& group) {
+      for (Entry& existing : group) {
+        if (*existing.manifest == *manifest) {
+          // The upgrade of a replayed outcome-only entry: install the
+          // live TU and keep its publish flags — its outcome is already
+          // in the store.
+          existing.tu = tu;
+          return;
+        }
+      }
+      Entry entry;
+      entry.manifest = std::move(manifest);
+      entry.tu = tu;
+      group.push_back(std::move(entry));
+    });
+    return tu;
+  }
+
+  support::ShardedCache<std::uint64_t, Group> tus{1 << 14};
+  support::ShardedCache<std::uint64_t, Plan> plans{1 << 14};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> persisted_hits{0};
   std::atomic<std::size_t> obj_hits{0};
   std::atomic<std::size_t> misses{0};
   std::atomic<std::size_t> plan_hits{0};
   std::atomic<bool> object_layer{true};
-  std::atomic<std::uint64_t> clock{0};
-  std::atomic<std::size_t> capacity{1 << 14};
   cache::Store* store = nullptr;  // attached journal store (optional)
   std::uint64_t store_version = 0;
 };
@@ -453,154 +490,36 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
   const std::uint64_t key =
       tu_primary_key(source, repo.at(source), caps, defines, toolchain_id);
   if (key_out != nullptr) *key_out = key;
-  Impl::Shard& shard = impl_->shards[key % Impl::kShards];
 
-  // Phase 1: snapshot the candidate manifests under the lock (cheap
-  // pointer copies — manifests are immutable and shared).
-  std::vector<std::shared_ptr<const Impl::Manifest>> candidates;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(key);
-    if (git != shard.groups.end()) {
-      candidates.reserve(git->second.size());
-      for (const Impl::Entry& entry : git->second) {
-        candidates.push_back(entry.manifest);
-      }
-    }
+  // One compile per key at a time: a thread that misses while another
+  // compiles the key waits and looks again, so a repo matching the
+  // manifest that lands is a hit, and only a repo that fails every
+  // landed manifest compiles (under its own flight).
+  for (;;) {
+    if (auto tu = impl_->resolve(repo, source, key, obj_key_out)) return tu;
+    const auto flight = impl_->tus.claim(key);
+    if (!flight) continue;
+    // The entry may have landed between the lookup and the claim.
+    if (auto tu = impl_->resolve(repo, source, key, obj_key_out)) return tu;
+    return impl_->compile_and_insert(repo, source, caps, defines, key,
+                                     obj_key_out);
   }
-
-  // Phase 2: validate outside the lock — content hashing must not
-  // serialize concurrent builds behind a shard mutex. The memo dedupes
-  // hashing of files several candidates share.
-  std::shared_ptr<const Impl::Manifest> valid;
-  {
-    std::unordered_map<std::string_view, std::uint64_t> hash_memo;
-    for (const auto& manifest : candidates) {
-      if (Impl::manifest_valid(repo, *manifest, hash_memo)) {
-        valid = manifest;
-        break;
-      }
-    }
-  }
-
-  // Phase 3: resolve the validated entry (it may have been evicted while
-  // unlocked — then it is simply a miss).
-  if (valid != nullptr) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(key);
-    Impl::Entry* entry = nullptr;
-    if (git != shard.groups.end()) {
-      for (Impl::Entry& e : git->second) {
-        if (e.manifest == valid) {
-          entry = &e;
-          break;
-        }
-      }
-    }
-    if (entry != nullptr) {
-      if (obj_key_out != nullptr) {
-        *obj_key_out = fold(key, Impl::manifest_digest(*entry->manifest));
-      }
-      if (entry->tu != nullptr) {
-        entry->last_used = impl_->tick();
-        impl_->hits.fetch_add(1, std::memory_order_relaxed);
-        return entry->tu;
-      }
-      if (!entry->ok) {
-        // A persisted *failed* compile: the build stops on its
-        // diagnostics before ever linking, so a TU carrying exactly the
-        // persisted diagnostics is bit-identical downstream — no
-        // recompile needed.
-        auto tu = std::make_shared<TranslationUnit>();
-        tu->path = source;
-        tu->diags = entry->diags;
-        tu->system_headers = entry->system_headers;
-        tu->resolved_files.reserve(entry->manifest->deps.size());
-        for (const Impl::Dep& dep : entry->manifest->deps) {
-          tu->resolved_files.push_back(dep.path);
-        }
-        tu->missing_probes = entry->manifest->missing;
-        entry->tu = tu;  // upgrade: later lookups are plain hits
-        entry->last_used = impl_->tick();
-        impl_->persisted_hits.fetch_add(1, std::memory_order_relaxed);
-        return tu;
-      }
-      // A persisted *successful* compile: deserialize its warm object if
-      // the store replayed one — the decoded TU is the full post-sema
-      // AST, so nothing re-runs. A corrupt, truncated, or version-bumped
-      // payload decodes to nullptr and falls through to a plain
-      // recompile (which upgrades the entry in place), as does an entry
-      // persisted before the object layer existed.
-      if (impl_->object_layer.load(std::memory_order_relaxed) &&
-          !entry->obj.empty()) {
-        if (auto tu = minic::decode_tu(entry->obj)) {
-          entry->tu = tu;
-          entry->last_used = impl_->tick();
-          impl_->persisted_hits.fetch_add(1, std::memory_order_relaxed);
-          impl_->obj_hits.fetch_add(1, std::memory_order_relaxed);
-          return tu;
-        }
-      }
-    }
-  }
-
-  // Compile outside the lock: two threads racing on one key just perform
-  // the same pure compile twice; the second insert below collapses them.
-  auto tu = execsim::compile_tu(repo, source, caps, defines);
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-
-  auto manifest = std::make_shared<Impl::Manifest>();
-  manifest->deps.reserve(tu->resolved_files.size());
-  for (const std::string& path : tu->resolved_files) {
-    // Every resolved file was just read by the preprocessor, so it exists.
-    manifest->deps.push_back({path, support::stable_hash(repo.at(path))});
-  }
-  manifest->missing = tu->missing_probes;
-  if (obj_key_out != nullptr) {
-    *obj_key_out = fold(key, Impl::manifest_digest(*manifest));
-  }
-
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto& group = shard.groups[key];
-  for (Impl::Entry& existing : group) {
-    if (*existing.manifest == *manifest) {
-      // Same manifest (racing compile, or the upgrade of an outcome-only
-      // entry): install the live TU, keep the entry's provenance flag —
-      // a loaded entry's outcome is already persisted, so it is not part
-      // of this run's delta.
-      existing.tu = tu;
-      existing.last_used = impl_->tick();
-      return tu;
-    }
-  }
-  Impl::Entry entry;
-  entry.manifest = std::move(manifest);
-  entry.tu = tu;
-  entry.fresh = true;
-  entry.last_used = impl_->tick();
-  group.push_back(std::move(entry));
-  ++shard.count;
-  Impl::evict_locked(shard, impl_->shard_capacity());
-  return tu;
 }
-
 bool TuCompileCache::lookup_failed_plan(std::uint64_t plan_key,
                                         BuildResult* out) {
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  const auto it = impl_->plans.find(plan_key);
-  if (it == impl_->plans.end()) return false;
-  Impl::Plan& plan = it->second;
-  plan.last_used = impl_->tick();
-  if (plan.ok) return false;  // live executable required: rebuild
-  BuildResult result;
-  result.ok = false;
-  result.diags = plan.diags;
-  result.log = plan.log;
-  result.caps = plan.caps;
-  result.build_system = plan.build_system;
-  *out = std::move(result);
-  impl_->plan_hits.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  const bool hit = impl_->plans.visit(plan_key, [out](Impl::Plan* plan) {
+    if (plan == nullptr || plan->ok) return false;  // ok: relink required
+    BuildResult result;
+    result.ok = false;
+    result.diags = plan->diags;
+    result.log = plan->log;
+    result.caps = plan->caps;
+    result.build_system = plan->build_system;
+    *out = std::move(result);
+    return true;
+  });
+  if (hit) impl_->plan_hits.fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
 void TuCompileCache::record_plan(std::uint64_t plan_key,
@@ -614,14 +533,6 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
     // still dedupe).
     return;
   }
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  const auto it = impl_->plans.find(plan_key);
-  if (it != impl_->plans.end()) {
-    // Builds are pure: a re-recorded plan is identical, so keep the
-    // existing entry (and its delta provenance) and just refresh it.
-    it->second.last_used = impl_->tick();
-    return;
-  }
   Impl::Plan plan;
   plan.ok = result.ok;
   plan.build_system = result.build_system;
@@ -629,10 +540,9 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
   plan.log = result.log;
   plan.diags = result.diags;
   plan.tus = std::move(tu_keys);
-  plan.fresh = true;
-  plan.last_used = impl_->tick();
-  impl_->plans.emplace(plan_key, std::move(plan));
-  impl_->bound_plans_locked();
+  // Builds are pure: a re-recorded plan is identical, so an existing
+  // entry (and its publish flag) stays.
+  impl_->plans.insert(plan_key, std::move(plan));
 }
 
 std::size_t TuCompileCache::hits() const noexcept {
@@ -656,28 +566,18 @@ std::size_t TuCompileCache::plan_hits() const noexcept {
 
 std::size_t TuCompileCache::size() const {
   std::size_t n = 0;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.count;
-  }
+  impl_->tus.for_each(
+      [&n](std::uint64_t, const Impl::Group& group) { n += group.size(); });
   return n;
 }
 
 std::size_t TuCompileCache::plan_count() const {
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
   return impl_->plans.size();
 }
 
 void TuCompileCache::clear() {
-  for (auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.groups.clear();
-    shard.count = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->plans_mu);
-    impl_->plans.clear();
-  }
+  impl_->tus.clear();
+  impl_->plans.clear();
   impl_->hits.store(0);
   impl_->persisted_hits.store(0);
   impl_->obj_hits.store(0);
@@ -686,14 +586,8 @@ void TuCompileCache::clear() {
 }
 
 void TuCompileCache::set_capacity(std::size_t max_entries) {
-  impl_->capacity.store(std::max(max_entries, Impl::kShards),
-                        std::memory_order_relaxed);
-  for (auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Impl::evict_locked(shard, impl_->shard_capacity());
-  }
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  impl_->bound_plans_locked();
+  impl_->tus.set_capacity(max_entries);
+  impl_->plans.set_capacity(max_entries);
 }
 
 void TuCompileCache::set_object_layer(bool on) noexcept {
@@ -705,90 +599,6 @@ bool TuCompileCache::object_layer() const noexcept {
 
 // --- persistence ------------------------------------------------------------
 
-namespace {
-
-constexpr const char* kTuCacheFormat = "pareval-tu-cache-v1";
-
-}  // namespace
-
-bool TuCompileCache::save(const std::string& path,
-                          std::uint64_t version) const {
-  return save_impl(path, version, /*fresh_only=*/false, nullptr);
-}
-
-bool TuCompileCache::save_delta(const std::string& path,
-                                std::uint64_t version,
-                                std::size_t* entries_written) const {
-  return save_impl(path, version, true, entries_written);
-}
-
-bool TuCompileCache::save_impl(const std::string& path,
-                               std::uint64_t version, bool fresh_only,
-                               std::size_t* entries_written) const {
-  struct Flat {
-    std::uint64_t key = 0;
-    std::string order;  // manifest tiebreaker for entries sharing a key
-    Json json;
-  };
-  std::vector<Flat> tus;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, group] : shard.groups) {
-      for (const Impl::Entry& entry : group) {
-        if (fresh_only && !entry.fresh) continue;
-        std::string order;
-        Json j = Impl::entry_json(key, entry, &order);
-        tus.push_back({key, std::move(order), std::move(j)});
-      }
-    }
-  }
-  std::sort(tus.begin(), tus.end(), [](const Flat& a, const Flat& b) {
-    return a.key != b.key ? a.key < b.key : a.order < b.order;
-  });
-
-  std::vector<std::pair<std::uint64_t, Json>> plans;
-  {
-    std::lock_guard<std::mutex> lock(impl_->plans_mu);
-    for (const auto& [key, plan] : impl_->plans) {
-      if (fresh_only && !plan.fresh) continue;
-      plans.emplace_back(key, Impl::plan_json(key, plan));
-    }
-  }
-  std::sort(plans.begin(), plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  if (entries_written != nullptr) {
-    *entries_written = tus.size() + plans.size();
-  }
-
-  Json tus_json = Json::array();
-  for (auto& f : tus) tus_json.push_back(std::move(f.json));
-  Json plans_json = Json::array();
-  for (auto& [key, j] : plans) plans_json.push_back(std::move(j));
-  return cache::write_versioned_file(path, kTuCacheFormat, version,
-                                     {{"tus", std::move(tus_json)},
-                                      {"plans", std::move(plans_json)}});
-}
-
-bool TuCompileCache::load(const std::string& path, std::uint64_t version) {
-  const auto root =
-      cache::read_versioned_file(path, kTuCacheFormat, version);
-  if (!root) return false;
-  for (const Json& j : (*root)["tus"].items()) {
-    std::uint64_t key = 0;
-    Impl::Entry entry;
-    if (!Impl::parse_entry(j, &key, &entry)) continue;
-    impl_->insert_loaded_entry(key, std::move(entry), /*published=*/true);
-  }
-  for (const Json& j : (*root)["plans"].items()) {
-    std::uint64_t key = 0;
-    Impl::Plan plan;
-    if (!Impl::parse_plan(j, &key, &plan)) continue;
-    impl_->insert_loaded_plan(key, std::move(plan), /*published=*/true);
-  }
-  return true;
-}
-
 bool TuCompileCache::load_records(cache::Store& store,
                                   std::uint64_t version, bool published) {
   const bool tu_ok =
@@ -796,14 +606,24 @@ bool TuCompileCache::load_records(cache::Store& store,
         std::uint64_t key = 0;
         Impl::Entry entry;
         if (!Impl::parse_entry(j, &key, &entry)) return;
-        impl_->insert_loaded_entry(key, std::move(entry), published);
+        entry.published = published;
+        // An entry already present for the same (key, manifest) wins —
+        // compiles are pure, so it holds the same outcome (and possibly
+        // a live TU).
+        impl_->tus.upsert(key, [&entry](Impl::Group& group) {
+          for (const Impl::Entry& existing : group) {
+            if (*existing.manifest == *entry.manifest) return;
+          }
+          group.push_back(std::move(entry));
+        });
       });
   const bool plan_ok =
       store.replay(kPlanStream, version, [this, published](const Json& j) {
         std::uint64_t key = 0;
         Impl::Plan plan;
         if (!Impl::parse_plan(j, &key, &plan)) return;
-        impl_->insert_loaded_plan(key, std::move(plan), published);
+        plan.published = published;
+        impl_->plans.insert(key, std::move(plan));
       });
   // Warm objects replay after the TU stream they extend: each record
   // names its entry by (key, manifest digest) and attaches the payload
@@ -822,16 +642,15 @@ bool TuCompileCache::load_records(cache::Store& store,
             !support::base64_decode(j["payload"].as_string(), &payload)) {
           return;
         }
-        Impl::Shard& shard = impl_->shards[key % Impl::kShards];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto git = shard.groups.find(key);
-        if (git == shard.groups.end()) return;
-        for (Impl::Entry& entry : git->second) {
-          if (Impl::manifest_digest(*entry.manifest) != digest) continue;
-          entry.obj = std::move(payload);  // journal replay: last wins
-          entry.obj_published = published;
-          break;
-        }
+        impl_->tus.visit(key, [&](Impl::Group* group) {
+          if (group == nullptr) return;
+          for (Impl::Entry& entry : *group) {
+            if (Impl::manifest_digest(*entry.manifest) != digest) continue;
+            entry.obj = std::move(payload);  // journal replay: last wins
+            entry.obj_published = published;
+            break;
+          }
+        });
       });
   return tu_ok && plan_ok && obj_ok;
 }
@@ -850,10 +669,9 @@ bool TuCompileCache::import_store(cache::Store& store,
 std::size_t TuCompileCache::flush() {
   Impl& impl = *impl_;
   if (impl.store == nullptr) return 0;
-  // Everything the attached store has not seen, in the same deterministic
-  // order the single-file format uses. The manifest pointer identifies
-  // each entry again after the append (entries are never mutated in
-  // place, only evicted).
+  // Everything the attached store has not seen, in a deterministic
+  // order: key, then manifest. The manifest pointer identifies each entry
+  // again after the append (manifests are never replaced, only evicted).
   struct Pending {
     std::uint64_t key = 0;
     std::string order;
@@ -861,30 +679,22 @@ std::size_t TuCompileCache::flush() {
     std::shared_ptr<const Impl::Manifest> manifest;
   };
   std::vector<Pending> tus;
-  for (auto& shard : impl.shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [key, group] : shard.groups) {
-      for (Impl::Entry& entry : group) {
-        if (entry.published) continue;
-        std::string order;
-        Json j = Impl::entry_json(key, entry, &order);
-        tus.push_back(
-            {key, std::move(order), std::move(j), entry.manifest});
-      }
+  impl.tus.for_each([&tus](std::uint64_t key, const Impl::Group& group) {
+    for (const Impl::Entry& entry : group) {
+      if (entry.published) continue;
+      std::string order;
+      Json j = Impl::entry_json(key, entry, &order);
+      tus.push_back({key, std::move(order), std::move(j), entry.manifest});
     }
-  }
+  });
   std::sort(tus.begin(), tus.end(), [](const Pending& a, const Pending& b) {
     return a.key != b.key ? a.key < b.key : a.order < b.order;
   });
 
   std::vector<std::pair<std::uint64_t, Json>> plans;
-  {
-    std::lock_guard<std::mutex> lock(impl.plans_mu);
-    for (const auto& [key, plan] : impl.plans) {
-      if (plan.published) continue;
-      plans.emplace_back(key, Impl::plan_json(key, plan));
-    }
-  }
+  impl.plans.for_each([&plans](std::uint64_t key, const Impl::Plan& plan) {
+    if (!plan.published) plans.emplace_back(key, Impl::plan_json(key, plan));
+  });
   std::sort(plans.begin(), plans.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
@@ -900,24 +710,21 @@ std::size_t TuCompileCache::flush() {
     std::shared_ptr<const Impl::Manifest> manifest;
   };
   std::vector<PendingObj> objs;
-  for (auto& shard : impl.shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [key, group] : shard.groups) {
-      for (Impl::Entry& entry : group) {
-        if (entry.obj_published) continue;
-        const bool live_ok =
-            entry.tu != nullptr && !entry.tu->diags.has_errors();
-        if (entry.obj.empty() && !live_ok) continue;
-        PendingObj p;
-        p.key = key;
-        p.order = Impl::manifest_order(*entry.manifest);
-        p.payload = entry.obj;
-        if (p.payload.empty()) p.tu = entry.tu;
-        p.manifest = entry.manifest;
-        objs.push_back(std::move(p));
-      }
+  impl.tus.for_each([&objs](std::uint64_t key, const Impl::Group& group) {
+    for (const Impl::Entry& entry : group) {
+      if (entry.obj_published) continue;
+      const bool live_ok =
+          entry.tu != nullptr && !entry.tu->diags.has_errors();
+      if (entry.obj.empty() && !live_ok) continue;
+      PendingObj p;
+      p.key = key;
+      p.order = Impl::manifest_order(*entry.manifest);
+      p.payload = entry.obj;
+      if (p.payload.empty()) p.tu = entry.tu;
+      p.manifest = entry.manifest;
+      objs.push_back(std::move(p));
     }
-  }
+  });
   std::sort(objs.begin(), objs.end(),
             [](const PendingObj& a, const PendingObj& b) {
               return a.key != b.key ? a.key < b.key : a.order < b.order;
@@ -956,36 +763,25 @@ std::size_t TuCompileCache::flush() {
     return 0;
   }
 
-  for (const Pending& p : tus) {
-    Impl::Shard& shard = impl.shards[p.key % Impl::kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(p.key);
-    if (git == shard.groups.end()) continue;
-    for (Impl::Entry& entry : git->second) {
-      if (entry.manifest == p.manifest) {
-        entry.published = true;
-        break;
+  // Mark what was appended. Entries evicted meanwhile are simply gone.
+  auto mark = [&impl](std::uint64_t key,
+                      const std::shared_ptr<const Impl::Manifest>& manifest,
+                      bool Impl::Entry::*flag) {
+    impl.tus.visit(key, [&](Impl::Group* group) {
+      if (group == nullptr) return;
+      for (Impl::Entry& entry : *group) {
+        if (entry.manifest == manifest) entry.*flag = true;
       }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl.plans_mu);
-    for (const auto& [key, j] : plans) {
-      const auto it = impl.plans.find(key);
-      if (it != impl.plans.end()) it->second.published = true;
-    }
+    });
+  };
+  for (const Pending& p : tus) mark(p.key, p.manifest, &Impl::Entry::published);
+  for (const auto& [key, j] : plans) {
+    impl.plans.visit(key, [](Impl::Plan* plan) {
+      if (plan != nullptr) plan->published = true;
+    });
   }
   for (const PendingObj& p : objs) {
-    Impl::Shard& shard = impl.shards[p.key % Impl::kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(p.key);
-    if (git == shard.groups.end()) continue;
-    for (Impl::Entry& entry : git->second) {
-      if (entry.manifest == p.manifest) {
-        entry.obj_published = true;
-        break;
-      }
-    }
+    mark(p.key, p.manifest, &Impl::Entry::obj_published);
   }
 
   impl.store->maybe_compact(kTuStream, impl.store_version);

@@ -15,19 +15,18 @@
 // invalidates exactly the TUs that include it; creating a file a quoted
 // include previously fell past invalidates exactly the TUs that probed it.
 //
-// The cache is also persistable ("pareval-tu-cache-v1", via support/json):
-// TU *outcomes* (diagnostics, system headers, dependency manifest — not the
-// AST, which is a live program) plus a per-build compile-plan digest keyed
-// by (repo content, make target). A failed build carries no executable, so
-// its outcome is fully serializable: on a warm file start, build_repo
-// reconstructs the whole failed BuildResult from the persisted plan without
-// compiling anything, and failed-TU entries reconstruct their
-// TranslationUnit from diagnostics alone.
+// The cache persists through the journaled cache::Store: TU *outcomes*
+// (diagnostics, system headers, dependency manifest — not the AST, which
+// is a live program) plus a per-build compile-plan digest keyed by (repo
+// content, make target). A failed build carries no executable, so its
+// outcome is fully serializable: on a warm start, build_repo reconstructs
+// the whole failed BuildResult from the persisted plan without compiling
+// anything, and failed-TU entries reconstruct their TranslationUnit from
+// diagnostics alone.
 //
 // Successful compiles additionally persist a *warm object* — the full
-// post-sema AST, serialized by minic/objcodec — in the journaled store's
-// "obj1" stream (never in the legacy single file, whose byte format is
-// frozen). On a warm store start a successful entry deserializes its
+// post-sema AST, serialized by minic/objcodec — in the store's "obj1"
+// stream. On a warm store start a successful entry deserializes its
 // object instead of re-running the preprocessor/parser/sema, revalidated
 // by the same dependency manifest; a corrupt or version-bumped payload is
 // a clean miss that just recompiles.
@@ -81,11 +80,14 @@ std::uint64_t build_plan_key(std::uint64_t repo_hash,
 std::uint64_t build_plan_key(const vfs::Repo& repo,
                              const std::string& make_target);
 
-/// Thread-safe, sharded, LRU-bounded memoization of execsim::compile_tu,
-/// plus the persisted per-build plan digests described above. Values are
-/// shared TranslationUnits: immutable after sema, so concurrent builds
-/// link the same TU objects (exactly as BuildArtifactCache already shares
-/// whole BuildResults).
+/// Thread-safe memoization of execsim::compile_tu on a
+/// support::ShardedCache of manifest groups (one group per primary key,
+/// LRU-bounded by group), plus the persisted per-build plan digests
+/// described above. Values are shared TranslationUnits: immutable after
+/// sema, so concurrent builds link the same TU objects (exactly as the
+/// build-artifact layer shares whole BuildResults). Compiles are
+/// single-flight per primary key, so misses() equals the number of
+/// distinct (primary key, manifest) pairs compiled.
 class TuCompileCache {
  public:
   TuCompileCache();
@@ -102,7 +104,7 @@ class TuCompileCache {
   /// AST (functions/globals are empty); downstream BuildResults are
   /// bit-identical because a failed TU always stops the build before
   /// link. Callers inspecting the AST of failed TUs should not rely on
-  /// it surviving a warm file start.
+  /// it surviving a warm start.
   ///
   /// `obj_key_out` (optional) receives the TU's *content* key — the
   /// primary key folded with the validated dependency manifest's digest,
@@ -150,7 +152,8 @@ class TuCompileCache {
   std::size_t size() const;
   std::size_t plan_count() const;
   void clear();
-  /// Bound the TU entry count (minimum one per shard) and the plan count.
+  /// Bound the number of primary keys (manifest groups) and the plan
+  /// count, each to at least one per shard.
   void set_capacity(std::size_t max_entries);
 
   /// Toggle the warm-object layer (default on): when on, flush() appends
@@ -161,28 +164,12 @@ class TuCompileCache {
   void set_object_layer(bool on) noexcept;
   bool object_layer() const noexcept;
 
-  /// Persist every TU outcome + plan digest as "pareval-tu-cache-v1",
-  /// tagged with `version` (pass the suite's scoring_pipeline_hash, like
-  /// ScoreCache). Atomic temp-file + rename, same as ScoreCache::save.
-  bool save(const std::string& path, std::uint64_t version) const;
-  /// Like save, but only entries/plans this cache added since it was
-  /// constructed or loaded — the worker-side delta for the fan-in job.
-  bool save_delta(const std::string& path, std::uint64_t version,
-                  std::size_t* entries_written = nullptr) const;
-  /// Merge a previously saved file (or delta). Returns false — loading
-  /// nothing — on a missing/malformed file, an unknown format tag, or a
-  /// `version` mismatch (stale cache written by a different pipeline).
-  bool load(const std::string& path, std::uint64_t version);
-
   /// Journaled-store streams: TU outcomes and plan digests live in
-  /// separate streams so both keep their legacy per-record JSON shape
-  /// (no discriminator field, so the single-file format stays
-  /// byte-identical).
+  /// separate streams, each record without a discriminator field.
   static constexpr const char* kTuStream = "tu";
   static constexpr const char* kPlanStream = "tuplan";
   /// Warm objects: serialized post-sema TUs for successful compiles,
-  /// keyed by (primary key, manifest digest). A third stream so the
-  /// legacy "tu"/"tuplan" record shapes stay byte-identical; written
+  /// keyed by (primary key, manifest digest). A third stream, written
   /// under minic::obj_stream_version(version), so a codec format bump
   /// cold-starts exactly this stream.
   static constexpr const char* kObjStream = "obj1";
@@ -210,8 +197,6 @@ class TuCompileCache {
  private:
   struct Impl;
 
-  bool save_impl(const std::string& path, std::uint64_t version,
-                 bool fresh_only, std::size_t* entries_written) const;
   bool load_records(cache::Store& store, std::uint64_t version,
                     bool published);
 

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "buildsim/builder.hpp"
-#include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/par.hpp"
 #include "support/rng.hpp"
@@ -112,113 +107,10 @@ std::uint64_t scoring_pipeline_hash() {
   return hash;
 }
 
-StagedScore ScoreCache::score(const AppSpec& app, const vfs::Repo& repo,
-                              apps::Model target, minic::EngineKind engine) {
-  std::uint64_t key = repo_content_hash(repo);
-  key = support::SplitMix64(key ^ support::stable_hash(app.name)).next();
-  key = support::SplitMix64(key ^ static_cast<std::uint64_t>(target)).next();
-  Shard& shard = shards_[key % kShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      it->second.last_used =
-          clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return it->second.result;
-    }
-  }
-  // Score outside the shard lock: builds are the expensive part, and two
-  // threads racing on the same key just compute the same pure result
-  // twice. The pipeline consults the middle (build-artifact) layer, so a
-  // score-layer miss on an already-built artifact skips straight to the
-  // Execute/Validate stages; a build-layer miss still dedupes its TU
-  // compiles through the lower (TU) layer.
-  const bool tu_layer = tu_layer_enabled();
-  ScoringPipeline pipeline(
-      &builds_, tu_layer ? &tus_ : nullptr,
-      tu_layer && object_layer_enabled() ? &links_ : nullptr);
-  pipeline.set_engine(engine);
-  StagedScore result = pipeline.score(app, repo, target);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  insert_entry(key, result, /*fresh=*/true, /*published=*/false);
-  return result;
-}
-
-std::size_t ScoreCache::shard_capacity() const noexcept {
-  const std::size_t cap = capacity_.load(std::memory_order_relaxed);
-  return std::max<std::size_t>(1, cap / kShards);
-}
-
-void ScoreCache::insert_entry(std::uint64_t key, StagedScore result,
-                              bool fresh, bool published,
-                              bool keep_existing) {
-  Shard& shard = shards_[key % kShards];
-  const std::uint64_t now =
-      clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (keep_existing && shard.entries.count(key) != 0) {
-    // Fan-in import: an entry already here (attached-store replay or a
-    // score computed in-process) wins — scores are pure, so the values
-    // are identical and only the publish-pending flag differs.
-    return;
-  }
-  shard.entries[key] = Entry{std::move(result), now, fresh, published};
-  detail::evict_lru_to_bound(shard.entries, shard_capacity());
-}
-
-std::size_t ScoreCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.entries.size();
-  }
-  return n;
-}
-
-void ScoreCache::set_capacity(std::size_t max_entries) {
-  capacity_.store(std::max(max_entries, kShards),
-                  std::memory_order_relaxed);
-  // Apply the new bound immediately instead of waiting for inserts.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    detail::evict_lru_to_bound(shard.entries, shard_capacity());
-  }
-}
-
-void ScoreCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-  }
-  builds_.clear();
-  tus_.clear();
-  links_.clear();
-  hits_.store(0);
-  misses_.store(0);
-}
-
-bool ScoreCache::save(const std::string& path,
-                      std::uint64_t version) const {
-  return save_entries(path, version, /*fresh_only=*/false);
-}
-
-bool ScoreCache::save_delta(const std::string& path, std::uint64_t version,
-                            std::size_t* entries_written) const {
-  return save_entries(path, version, /*fresh_only=*/true, entries_written);
-}
-
 namespace {
 
-// v2: entries carry staged outcomes instead of one flat log. The format
-// tag is bumped so a restored v1 file cold-starts instead of loading
-// entries with missing provenance (which would break the cold-vs-warm
-// bit-identity guarantee).
-constexpr const char* kScoreCacheFormat = "pareval-score-cache-v2";
-
-/// The score layer's record codec, shared by the legacy whole-file
-/// format and the journaled store: one StagedScore entry, key last (the
-/// v2 field order, so files round-trip byte-identically).
+/// The score layer's record codec in the journaled store: one StagedScore
+/// entry, key last.
 Json score_record(std::uint64_t key, const StagedScore& result) {
   Json e = to_json(result);
   e.set("key", support::u64_to_hex(key));
@@ -233,41 +125,31 @@ bool parse_score_record(const Json& e, std::uint64_t* key,
 
 }  // namespace
 
-bool ScoreCache::save_entries(const std::string& path,
-                              std::uint64_t version, bool fresh_only,
-                              std::size_t* entries_written) const {
-  // Deterministic file: entries sorted by key, version first.
-  std::vector<std::pair<std::uint64_t, Entry>> all;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (fresh_only && !entry.fresh) continue;
-      all.emplace_back(key, entry);
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (entries_written != nullptr) *entries_written = all.size();
-
-  Json entries = Json::array();
-  for (const auto& [key, entry] : all) {
-    entries.push_back(score_record(key, entry.result));
-  }
-  return cache::write_versioned_file(path, kScoreCacheFormat, version,
-                                     {{"entries", std::move(entries)}});
+StagedScore ScoreCache::score(const AppSpec& app, const vfs::Repo& repo,
+                              apps::Model target, minic::EngineKind engine) {
+  std::uint64_t key = repo_content_hash(repo);
+  key = support::SplitMix64(key ^ support::stable_hash(app.name)).next();
+  key = support::SplitMix64(key ^ static_cast<std::uint64_t>(target)).next();
+  // A score-layer miss consults the middle (build-artifact) layer, so an
+  // already-built artifact skips straight to the Execute/Validate stages;
+  // a build-layer miss still dedupes its TU compiles through the lower
+  // (TU) layer.
+  auto compute = [&] {
+    const bool tu_layer = tu_layer_enabled();
+    ScoringPipeline pipeline(
+        &builds_, tu_layer ? &tus_ : nullptr,
+        tu_layer && object_layer_enabled() ? &links_ : nullptr);
+    pipeline.set_engine(engine);
+    return Entry{pipeline.score(app, repo, target)};
+  };
+  return scores_.get_or_compute(key, compute).result;
 }
 
-bool ScoreCache::load(const std::string& path, std::uint64_t version) {
-  const auto root =
-      cache::read_versioned_file(path, kScoreCacheFormat, version);
-  if (!root) return false;
-  for (const Json& e : (*root)["entries"].items()) {
-    std::uint64_t key = 0;
-    StagedScore r;
-    if (!parse_score_record(e, &key, &r)) continue;
-    insert_entry(key, std::move(r), /*fresh=*/false, /*published=*/true);
-  }
-  return true;
+void ScoreCache::clear() {
+  scores_.clear();
+  builds_.clear();
+  tus_.clear();
+  links_.clear();
 }
 
 bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
@@ -279,8 +161,7 @@ bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
     // Journal replay never clobbers what is already here: records are
     // append-only, so a later duplicate (another worker scoring the same
     // key) carries the identical pure score.
-    insert_entry(key, std::move(r), /*fresh=*/false, published,
-                 /*keep_existing=*/true);
+    scores_.insert(key, Entry{std::move(r), published});
   });
 }
 
@@ -300,12 +181,9 @@ std::size_t ScoreCache::flush() {
   // attach(), or folded in via import_store(). Key order makes the batch
   // deterministic.
   std::vector<std::pair<std::uint64_t, StagedScore>> pending;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (!entry.published) pending.emplace_back(key, entry.result);
-    }
-  }
+  scores_.for_each([&pending](std::uint64_t key, const Entry& entry) {
+    if (!entry.published) pending.emplace_back(key, entry.result);
+  });
   std::sort(pending.begin(), pending.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<Json> records;
@@ -315,21 +193,12 @@ std::size_t ScoreCache::flush() {
   }
   if (!store_->append_batch(kStream, store_version_, records)) return 0;
   for (const auto& [key, result] : pending) {
-    Shard& shard = shards_[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) it->second.published = true;
+    scores_.visit(key, [](Entry* entry) {
+      if (entry != nullptr) entry->published = true;
+    });
   }
   store_->maybe_compact(kStream, store_version_);
   return pending.size();
-}
-
-Json ScoreCache::stats() const {
-  Json j = Json::object();
-  j.set("hits", static_cast<long long>(hits()));
-  j.set("misses", static_cast<long long>(misses()));
-  j.set("entries", static_cast<long long>(size()));
-  return j;
 }
 
 ScoreCache& ScoreCache::global() {

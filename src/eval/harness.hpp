@@ -5,13 +5,10 @@
 // file swapped in), collect failure logs for the classification pipeline,
 // and account tokens.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "agents/techniques.hpp"
@@ -24,6 +21,7 @@
 #include "llm/calibration.hpp"
 #include "llm/profiles.hpp"
 #include "support/cachestore.hpp"
+#include "support/sharded_cache.hpp"
 
 namespace pareval::eval {
 
@@ -144,11 +142,11 @@ ScoreResult score_repo(const apps::AppSpec& app, const vfs::Repo& repo,
 /// Version key of the scoring pipeline for `suite`'s registered apps:
 /// folds a hand-bumped pipeline tag with every embedded scoring input
 /// (app repos, ground-truth builds, test cases, tolerances) in suite
-/// registration order. A persisted ScoreCache whose version differs is
+/// registration order. A persisted score stream whose version differs is
 /// stale — the scores it memoizes were produced by a different pipeline —
-/// and ScoreCache::load discards it. Custom suites get version-level
-/// invalidation of their own scoring inputs by persisting caches under
-/// scoring_pipeline_hash(suite) instead of the paper default.
+/// and ScoreCache::attach replays nothing from it. Custom suites get
+/// version-level invalidation of their own scoring inputs by persisting
+/// caches under scoring_pipeline_hash(suite) instead of the paper default.
 std::uint64_t scoring_pipeline_hash(const Suite& suite);
 
 /// The paper overload: folds apps::all_apps() (== Suite::paper()'s apps),
@@ -158,7 +156,8 @@ std::uint64_t scoring_pipeline_hash(const Suite& suite);
 std::uint64_t scoring_pipeline_hash();
 
 /// Three-layer memoization of the staged scoring pipeline, sharded to keep
-/// the harness's parallel samples off one lock.
+/// the harness's parallel samples off one lock (a fourth, the link cache,
+/// sits under the TU layer).
 ///
 /// Upper (score) layer: full StagedScores keyed by (app name, repo content
 /// hash, target model). Code-only re-scores and repeated golden builds of
@@ -177,20 +176,20 @@ std::uint64_t scoring_pipeline_hash();
 /// build-failure defect class) share every TU compile; tus().misses()
 /// counts TU compiles actually performed.
 ///
-/// The score and TU layers are persistent, both through one uniform
-/// surface over the journaled cache::Store — attach() warm-replays the
-/// layer's record stream and binds the store, flush() appends what this
-/// process computed since (one locked batch; N workers sharing one store
-/// directory need no merge step), import_store() folds another store's
-/// records in for fan-in replay — and through the legacy whole-file
-/// formats: save()/load() serialize the score layer, tus().save()/load()
-/// the TU outcomes + build-plan digests, both as JSON versioned by a
-/// scoring-pipeline hash. Either way, figure regeneration after a
-/// code-only change warm-starts from the previous run's scores and a warm
-/// start skips Build-stage compile work too (the build-artifact layer
-/// holds live executables and stays process-local). Size is bounded: each
-/// shard holds at most capacity/kShards entries and evicts its
-/// least-recently-used entry on overflow.
+/// The score and TU layers are persistent through one uniform surface
+/// over the journaled cache::Store: attach() warm-replays the layer's
+/// record stream and binds the store, flush() appends what this process
+/// computed since (one locked batch; N workers sharing one store
+/// directory need no merge step), and import_store() folds another
+/// store's records in for fan-in replay. Figure regeneration after a
+/// code-only change therefore warm-starts from the previous run's scores,
+/// and a warm start skips Build-stage compile work too (the
+/// build-artifact layer holds live executables and stays process-local).
+///
+/// Every layer sits on a support::ShardedCache: LRU-bounded, and
+/// single-flight on misses, so each layer's misses() counts the distinct
+/// keys it computed (for the TU layer, distinct (key, manifest) pairs),
+/// whatever the thread count.
 class ScoreCache {
  public:
   /// ScoringPipeline::score with three-layer memoization. `engine` picks
@@ -201,10 +200,10 @@ class ScoreCache {
                     apps::Model target,
                     minic::EngineKind engine = minic::EngineKind::Interp);
 
-  std::size_t hits() const noexcept { return hits_.load(); }
-  std::size_t misses() const noexcept { return misses_.load(); }
-  std::size_t size() const;
-  /// Clears both layers (and all counters).
+  std::size_t hits() const noexcept { return scores_.hits(); }
+  std::size_t misses() const noexcept { return scores_.misses(); }
+  std::size_t size() const { return scores_.size(); }
+  /// Clears every layer (and all counters).
   void clear();
 
   /// The middle (build-artifact) layer, for per-layer stats and capacity
@@ -213,7 +212,7 @@ class ScoreCache {
   const BuildArtifactCache& builds() const noexcept { return builds_; }
 
   /// The lower (TU compile) layer: per-layer stats, capacity, and its own
-  /// save/load (file format "pareval-tu-cache-v1").
+  /// attach/flush.
   buildsim::TuCompileCache& tus() noexcept { return tus_; }
   const buildsim::TuCompileCache& tus() const noexcept { return tus_; }
 
@@ -249,9 +248,11 @@ class ScoreCache {
     return object_enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Bound the score-layer entry count (minimum kShards: one entry per
-  /// shard). The build layer has its own set_capacity.
-  void set_capacity(std::size_t max_entries);
+  /// Bound the score-layer entry count (minimum one entry per shard).
+  /// The build layer has its own set_capacity.
+  void set_capacity(std::size_t max_entries) {
+    scores_.set_capacity(max_entries);
+  }
 
   /// The journal stream name this layer reads/appends in a cache::Store.
   static constexpr const char* kStream = "score";
@@ -278,70 +279,28 @@ class ScoreCache {
 
   /// Score-layer counters as JSON with a pinned key order (hits, misses,
   /// entries) — the "score" block of CACHE_stats.json.
-  support::Json stats() const;
-
-  /// Write every score-layer entry to `path` as JSON, tagged with
-  /// `version` (default: the paper scoring-pipeline hash; pass
-  /// scoring_pipeline_hash(suite) when the cache serves a custom suite).
-  /// Atomic: the file is written to a temp name in the same directory and
-  /// rename()d into place, so concurrent workers sharing one cache path
-  /// never observe a torn file. Returns false on I/O failure.
-  bool save(const std::string& path,
-            std::uint64_t version = scoring_pipeline_hash()) const;
-  /// Like save, but writes only the entries this cache *added* since it
-  /// was constructed or loaded (cache misses scored here, not entries
-  /// merged in via load) — the shard-level cache delta a sweep_worker
-  /// ships alongside its shard file for the fan-in job to fold into a
-  /// published cache (sweep_merge --merge-cache). `entries_written`
-  /// (optional) receives the delta's actual entry count, which can trail
-  /// misses() under racing duplicate scores or LRU eviction.
-  bool save_delta(const std::string& path,
-                  std::uint64_t version = scoring_pipeline_hash(),
-                  std::size_t* entries_written = nullptr) const;
-  /// Merge the entries of a previously saved file (or delta) into this
-  /// cache. Returns false — loading nothing — when the file is missing,
-  /// does not parse, uses an older cache format, or was written under a
-  /// different `version` (stale cache).
-  bool load(const std::string& path,
-            std::uint64_t version = scoring_pipeline_hash());
+  support::Json stats() const { return scores_.stats(); }
 
   /// Process-wide instance used by run_task when use_score_cache is set.
   static ScoreCache& global();
 
  private:
-  static constexpr std::size_t kShards = 16;
   struct Entry {
     StagedScore result;
-    std::uint64_t last_used = 0;
-    bool fresh = false;      // added by scoring here (not merged via load)
     bool published = false;  // already present in the attached store
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> entries;
-  };
 
-  std::size_t shard_capacity() const noexcept;
-  void insert_entry(std::uint64_t key, StagedScore result, bool fresh,
-                    bool published, bool keep_existing = false);
   bool load_records(cache::Store& store, std::uint64_t version,
                     bool published);
-  bool save_entries(const std::string& path, std::uint64_t version,
-                    bool fresh_only,
-                    std::size_t* entries_written = nullptr) const;
 
   cache::Store* store_ = nullptr;
   std::uint64_t store_version_ = 0;
-  std::array<Shard, kShards> shards_;
-  BuildArtifactCache builds_;
+  support::ShardedCache<std::uint64_t, Entry> scores_{1 << 16};
+  BuildArtifactCache builds_{1 << 12};
   buildsim::TuCompileCache tus_;
   buildsim::LinkCache links_;
   std::atomic<bool> tu_enabled_{true};
   std::atomic<bool> object_enabled_{true};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::uint64_t> clock_{0};
-  std::atomic<std::size_t> capacity_{1 << 16};
 };
 
 /// Everything one sample contributes to its cell's TaskResult.

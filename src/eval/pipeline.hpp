@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "minic/diag.hpp"
 #include "minic/engine.hpp"
 #include "support/json.hpp"
+#include "support/sharded_cache.hpp"
 #include "vfs/repo.hpp"
 
 namespace pareval::buildsim {
@@ -128,56 +128,16 @@ std::uint64_t build_artifact_key(const apps::AppSpec& app,
 std::uint64_t build_artifact_key(const apps::AppSpec& app,
                                  const vfs::Repo& repo);
 
-namespace detail {
-
-/// Evict least-recently-used entries (by `.last_used`) until `entries`
-/// fits `bound`. Shared by both ScoreCache layers; the caller holds the
-/// shard lock. The linear victim scan is fine — shard bounds are small
-/// and eviction is rare.
-template <class Map>
-void evict_lru_to_bound(Map& entries, std::size_t bound) {
-  while (entries.size() > bound) {
-    auto victim = entries.begin();
-    for (auto it = std::next(victim); it != entries.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    entries.erase(victim);
-  }
-}
-
-}  // namespace detail
-
-/// Thread-safe in-memory cache of Build-stage artifacts (the lower layer
-/// of ScoreCache's two-layer scheme). Values are immutable BuildResults
-/// shared by reference: concurrent scorers run the cached executable
-/// through their own interpreter instances. Unlike the full-score layer it
-/// is not persisted — executables are live minic programs, not data — so a
-/// warm process shares builds and a warm *file* shares final scores.
-/// Sharded and LRU-bounded like the score layer.
-class BuildArtifactCache {
- public:
-  BuildArtifactCache();
-  ~BuildArtifactCache();
-  BuildArtifactCache(const BuildArtifactCache&) = delete;
-  BuildArtifactCache& operator=(const BuildArtifactCache&) = delete;
-
-  /// nullptr on miss. Hit/miss counters track lookups, so "misses" counts
-  /// builds actually performed by the scoring pipeline.
-  std::shared_ptr<const buildsim::BuildResult> lookup(std::uint64_t key);
-  void insert(std::uint64_t key,
-              std::shared_ptr<const buildsim::BuildResult> build);
-
-  std::size_t hits() const noexcept;
-  std::size_t misses() const noexcept;
-  std::size_t size() const;
-  void clear();
-  /// Bound the entry count (minimum one entry per shard).
-  void set_capacity(std::size_t max_entries);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Thread-safe in-memory cache of Build-stage artifacts keyed by
+/// build_artifact_key (the middle layer of ScoreCache's three-layer
+/// scheme). Values are immutable BuildResults shared by reference:
+/// concurrent scorers run the cached executable through their own
+/// interpreter instances. Unlike the score layer it is not persisted —
+/// executables are live minic programs, not data. misses() counts builds
+/// actually performed.
+using BuildArtifactCache =
+    support::ShardedCache<std::uint64_t,
+                          std::shared_ptr<const buildsim::BuildResult>>;
 
 /// The staged scorer: builds the repository (through the build-artifact
 /// cache when one is injected), runs every test case, and validates golden

@@ -299,11 +299,7 @@ Json SweepServer::status_body() const {
 
   Json cache = Json::object();
   cache.set("score", cache_.stats());
-  Json builds = Json::object();
-  builds.set("hits", static_cast<long long>(cache_.builds().hits()));
-  builds.set("misses", static_cast<long long>(cache_.builds().misses()));
-  builds.set("entries", static_cast<long long>(cache_.builds().size()));
-  cache.set("builds", builds);
+  cache.set("builds", cache_.builds().stats());
   cache.set("tu", cache_.tus().stats());
   cache.set("link", cache_.links().stats());
   const execsim::DriverCounters drv = execsim::driver_counters();

@@ -1,12 +1,10 @@
 #pragma once
 // cache::Store — one multi-writer persistence API for every cache layer.
 //
-// The pre-journal persistence (PRs 2/4/5) was whole-file rewrite: atomic,
-// but last-writer-wins, so exactly one publisher could own a cache path
-// and CI had to shuttle per-worker delta files to a fan-in merge step.
-// The Store replaces that with a shared cache *directory* of append-only
-// journals, so N sweep_worker processes (and a future sweep_server) can
-// share one warm cache with no merge step at all.
+// A shared cache *directory* of append-only journals, so N sweep_worker
+// processes (and sweep_server) can share one warm cache with no merge
+// step at all. Whole-file rewrite would be atomic but last-writer-wins:
+// only one publisher could own a cache path.
 //
 // Layout, per typed record stream `<s>` inside the store directory:
 //
@@ -40,17 +38,13 @@
 // generation, and the journal is reset — all under the stream lock, so a
 // concurrent appender can never have its records dropped.
 //
-// Streams are versioned like the legacy cache files: the index carries
-// the pipeline hash, a replay under a different version yields nothing
-// (stale), and an append under a different version resets the stream —
-// the journal equivalent of "save overwrites a stale file".
+// Streams are versioned: the index carries the pipeline hash, a replay
+// under a different version yields nothing (stale), and an append under a
+// different version resets the stream.
 //
-// The layers (eval::ScoreCache, buildsim::TuCompileCache) sit on top via
-// per-layer codecs: attach(store) replays their streams into memory,
-// flush() appends what they computed since, and the legacy single-file
-// formats remain readable/writable through the read/write_versioned_file
-// helpers below (one shared implementation of the format/version-check
-// plumbing both layers used to duplicate).
+// The layers (eval::ScoreCache, buildsim::TuCompileCache, LinkCache) sit
+// on top via per-layer codecs: attach(store) replays their streams into
+// memory and flush() appends what they computed since.
 
 #include <cstddef>
 #include <cstdint>
@@ -188,30 +182,5 @@ class Store {
 /// One framed record as journal bytes (header + payload + newline) —
 /// exposed for tests that need to craft or corrupt frames precisely.
 std::string frame_record(std::string_view payload);
-
-// --- legacy single-file formats --------------------------------------------
-//
-// The pre-journal whole-file formats ("pareval-score-cache-v2",
-// "pareval-tu-cache-v1") stay readable and writable bit-identically —
-// published CI caches, test fixtures, and --verify's file round trips
-// all depend on them. Both layers' save/load now share this one
-// implementation of the root-object, format-tag, and pipeline-version
-// plumbing instead of hand-rolling it twice.
-
-/// Build {"format": tag, "pipeline": hex(version), <fields...>} and
-/// publish it atomically at `path` (temp + rename). Fields keep their
-/// given order, so existing files round-trip byte-identically.
-bool write_versioned_file(
-    const std::string& path, std::string_view format_tag,
-    std::uint64_t version,
-    std::vector<std::pair<std::string, support::Json>> fields);
-
-/// Parse `path` and check its format tag and pipeline version. nullopt —
-/// loading nothing — when the file is missing, does not parse, carries a
-/// different format tag (older/foreign cache format), or was written
-/// under a different `version` (stale cache).
-std::optional<support::Json> read_versioned_file(const std::string& path,
-                                                 std::string_view format_tag,
-                                                 std::uint64_t version);
 
 }  // namespace pareval::cache

@@ -307,23 +307,6 @@ TEST(CacheStore, ConcurrentProcessAppendersShareOneStore) {
   EXPECT_EQ(reader.stats("s").torn_records_dropped, 0u);
 }
 
-TEST(CacheStore, VersionedFileHelpersRoundTripAndReject) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "cs_versioned.json";
-  Json entries = Json::array();
-  entries.push_back(record(1));
-  ASSERT_TRUE(pc::write_versioned_file(path, "test-format-v1", kVersion,
-                                       {{"entries", std::move(entries)}}));
-  const auto ok = pc::read_versioned_file(path, "test-format-v1", kVersion);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ((*ok)["entries"].items().size(), 1u);
-  EXPECT_FALSE(
-      pc::read_versioned_file(path, "test-format-v2", kVersion));
-  EXPECT_FALSE(
-      pc::read_versioned_file(path, "test-format-v1", kVersion + 1));
-  std::remove(path.c_str());
-}
-
 // --- CRC-32 ------------------------------------------------------------------
 
 namespace {

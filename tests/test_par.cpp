@@ -1,6 +1,7 @@
-// Tests for the work-stealing ThreadPool orchestrator and for the
-// scheduling-invariance guarantee of the evaluation harness: identical
-// TaskResults no matter how many threads execute the sweep.
+// Tests for the work-stealing ThreadPool orchestrator, the single-flight
+// ShardedCache under every cache layer, and the scheduling-invariance
+// guarantee of the evaluation harness: identical TaskResults (and cache
+// counters) no matter how many threads execute the sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "eval/harness.hpp"
 #include "support/par.hpp"
+#include "support/sharded_cache.hpp"
 
 namespace ps = pareval::support;
 namespace pe = pareval::eval;
@@ -330,4 +332,121 @@ TEST(ScoreCache, ContentHashSeparatesFileBoundaries) {
   EXPECT_NE(pe::repo_content_hash(a), pe::repo_content_hash(b));
   pareval::vfs::Repo a2 = a;
   EXPECT_EQ(pe::repo_content_hash(a), pe::repo_content_hash(a2));
+}
+
+TEST(Determinism, PooledColdSweepCountsAreExact) {
+  // Single-flight misses: every layer computes each distinct key once, so
+  // two cold pooled sweeps report identical counters, and the score and
+  // build layers miss exactly once per entry they hold.
+  pe::SweepSpec spec = pe::SweepSpec::paper();
+  spec.pairs = {"cuda->omp_offload"};
+  spec.apps = {"nanoXOR", "microXOR"};
+  spec.samples_per_task = 3;
+  auto cold_sweep = [&spec] {
+    pe::ScoreCache cache;
+    pe::HarnessConfig config;
+    config.score_cache = &cache;
+    pe::run_sweep(pe::Suite::paper(), spec, config);
+    EXPECT_EQ(cache.misses(), cache.size());
+    EXPECT_EQ(cache.builds().misses(), cache.builds().size());
+    return std::vector<std::size_t>{
+        cache.hits(),          cache.misses(),
+        cache.builds().hits(), cache.builds().misses(),
+        cache.tus().hits(),    cache.tus().persisted_hits(),
+        cache.tus().misses(),  cache.links().hits(),
+        cache.links().persisted_hits(), cache.links().misses()};
+  };
+  const auto first = cold_sweep();
+  EXPECT_GT(first[1], 0u);
+  EXPECT_EQ(first, cold_sweep());
+}
+
+// ------------------------------------------------------- ShardedCache ----
+
+using IntCache = ps::ShardedCache<int, int>;
+
+TEST(ShardedCache, RacingColdMissesComputeOnce) {
+  constexpr int kThreads = 16;
+  IntCache cache(64);
+  std::atomic<int> arrived{0};
+  std::atomic<int> computes{0};
+  std::vector<int> values(kThreads, -1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      values[t] = cache.get_or_compute(7, [&] {
+        computes.fetch_add(1);
+        // Hold the flight until every thread has arrived, so the others
+        // miss while it is in progress.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < kThreads &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        return 42;
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<std::size_t>(kThreads - 1));
+  for (const int v : values) EXPECT_EQ(v, 42);
+}
+
+TEST(ShardedCache, ThrowingComputeLeavesNoFlight) {
+  IntCache cache(64);
+  EXPECT_THROW(cache.get_or_compute(
+                   3, []() -> int { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  int computes = 0;
+  EXPECT_EQ(cache.get_or_compute(3,
+                                 [&] {
+                                   ++computes;
+                                   return 9;
+                                 }),
+            9);
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_TRUE(cache.claim(4).has_value());  // an idle key claims at once
+}
+
+TEST(ShardedCache, LruBoundKeepsMostRecentlyUsed) {
+  IntCache cache(2 * IntCache::kShards);  // two entries per shard
+  auto compute = [](int v) { return [v] { return v; }; };
+  auto present = [&cache](int key) {
+    return cache.visit(key, [](int* v) { return v != nullptr; });
+  };
+  // Keys 0, 16 and 32 share a shard.
+  cache.get_or_compute(0, compute(0));
+  cache.get_or_compute(16, compute(16));
+  cache.get_or_compute(0, compute(0));  // 0 is now more recent than 16
+  cache.get_or_compute(32, compute(32));
+  EXPECT_TRUE(present(0));
+  EXPECT_FALSE(present(16));
+  EXPECT_TRUE(present(32));
+}
+
+TEST(ShardedCache, SetCapacityShrinksAtOnce) {
+  IntCache cache(1024);
+  for (int k = 0; k < 64; ++k) cache.insert(k, k);
+  EXPECT_EQ(cache.size(), 64u);
+  cache.set_capacity(1);  // clamps to one entry per shard
+  EXPECT_EQ(cache.size(), IntCache::kShards);
+}
+
+TEST(ShardedCache, ClearAndPinnedStats) {
+  IntCache cache(64);
+  cache.get_or_compute(1, [] { return 1; });
+  cache.get_or_compute(1, [] { return 1; });
+  cache.get_or_compute(2, [] { return 2; });
+  EXPECT_EQ(cache.stats().dump(), "{\"hits\":1,\"misses\":2,\"entries\":2}");
+  cache.clear();
+  EXPECT_EQ(cache.stats().dump(), "{\"hits\":0,\"misses\":0,\"entries\":0}");
+  int computes = 0;
+  cache.get_or_compute(1, [&] { return ++computes; });
+  EXPECT_EQ(computes, 1);
 }

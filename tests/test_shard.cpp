@@ -258,59 +258,38 @@ TEST(ShardJson, RejectsMalformedInput) {
                                     &error));
 }
 
-TEST(ScoreCachePersist, SaveLoadRoundTripServesHits) {
+TEST(ScoreCachePersist, VersionMismatchDiscardsStaleStore) {
   const auto* app = pareval::apps::find_app("nanoXOR");
   ASSERT_NE(app, nullptr);
   const auto& repo = app->repos.at(pareval::apps::Model::Cuda);
 
+  const std::string dir = temp_path("score_cache_stale_store");
+  std::filesystem::remove_all(dir);
+  pareval::cache::Store store(dir);
+  ASSERT_TRUE(store.open());
   pe::ScoreCache cache;
-  const auto first = cache.score(*app, repo, pareval::apps::Model::Cuda);
-  EXPECT_EQ(cache.misses(), 1u);
-  const std::string path = temp_path("score_cache_roundtrip.json");
-  ASSERT_TRUE(cache.save(path));
-
-  pe::ScoreCache reloaded;
-  ASSERT_TRUE(reloaded.load(path));
-  EXPECT_EQ(reloaded.size(), cache.size());
-  const auto again = reloaded.score(*app, repo, pareval::apps::Model::Cuda);
-  EXPECT_EQ(reloaded.hits(), 1u);   // served from the loaded file...
-  EXPECT_EQ(reloaded.misses(), 0u); // ...without re-scoring
-  EXPECT_EQ(again, first);
-  std::remove(path.c_str());
-}
-
-TEST(ScoreCachePersist, VersionMismatchDiscardsStaleFile) {
-  const auto* app = pareval::apps::find_app("nanoXOR");
-  ASSERT_NE(app, nullptr);
-  const auto& repo = app->repos.at(pareval::apps::Model::Cuda);
-
-  pe::ScoreCache cache;
+  cache.attach(store);
   cache.score(*app, repo, pareval::apps::Model::Cuda);
-  const std::string path = temp_path("score_cache_stale.json");
-  ASSERT_TRUE(cache.save(path));
+  ASSERT_EQ(cache.flush(), 1u);
 
-  // Forge a file written by a "different" scoring pipeline.
-  std::string text = read_file(path);
+  // Forge an index written by a "different" scoring pipeline.
+  const std::string index = dir + "/" + pe::ScoreCache::kStream + ".idx";
+  std::string text = read_file(index);
   const std::string want = ps::u64_to_hex(pe::scoring_pipeline_hash());
   ASSERT_NE(text.find(want), std::string::npos);
-  text = ps::replace_all(text, want, "00000000deadbeef");
-  write_file(path, text);
+  write_file(index, ps::replace_all(text, want, "00000000deadbeef"));
 
+  pareval::cache::Store reader(dir);
   pe::ScoreCache stale;
-  EXPECT_FALSE(stale.load(path));
+  EXPECT_FALSE(stale.attach(reader));
   EXPECT_EQ(stale.size(), 0u);
 
-  // And a file that is not JSON at all.
-  write_file(path, "not json");
-  EXPECT_FALSE(stale.load(path));
-  EXPECT_EQ(stale.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ScoreCachePersist, LoadOfMissingFileFails) {
-  pe::ScoreCache cache;
-  EXPECT_FALSE(cache.load(temp_path("score_cache_nonexistent.json")));
-  EXPECT_EQ(cache.size(), 0u);
+  // And an index that is not JSON at all.
+  write_file(index, "not json");
+  pe::ScoreCache garbled;
+  EXPECT_FALSE(garbled.attach(reader));
+  EXPECT_EQ(garbled.size(), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScoreCachePersist, JournalStoreRoundTripServesHits) {
@@ -416,12 +395,9 @@ TEST(ScoreCachePersist, ImportStoreForwardsRecordsOnFlush) {
 }
 
 TEST(ScoreCachePersist, CapacityBoundsEntryCount) {
-  // Build a valid cache file with many synthetic entries, then load it
-  // into a capacity-bounded cache: eviction must keep size <= capacity.
-  ps::Json root = ps::Json::object();
-  root.set("format", "pareval-score-cache-v2");
-  root.set("pipeline", ps::u64_to_hex(pe::scoring_pipeline_hash()));
-  ps::Json entries = ps::Json::array();
+  // Journal many synthetic score records, then replay them into a
+  // capacity-bounded cache: eviction must keep size <= capacity.
+  std::vector<ps::Json> records;
   for (int i = 0; i < 200; ++i) {
     pe::StagedScore s;
     s.built = true;
@@ -430,93 +406,32 @@ TEST(ScoreCachePersist, CapacityBoundsEntryCount) {
                         "synthetic"});
     ps::Json e = pe::to_json(s);
     e.set("key", ps::u64_to_hex(0x1000ull + static_cast<unsigned>(i)));
-    entries.push_back(std::move(e));
+    records.push_back(std::move(e));
   }
-  root.set("entries", std::move(entries));
-  const std::string path = temp_path("score_cache_bounded.json");
-  write_file(path, root.dump());
+  const std::string dir = temp_path("score_cache_bounded_store");
+  std::filesystem::remove_all(dir);
+  pareval::cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  ASSERT_TRUE(store.append_batch(pe::ScoreCache::kStream,
+                                 pe::scoring_pipeline_hash(), records));
 
   pe::ScoreCache cache;
   cache.set_capacity(32);
-  ASSERT_TRUE(cache.load(path));
+  ASSERT_TRUE(cache.attach(store));
   EXPECT_LE(cache.size(), 32u);
   EXPECT_GT(cache.size(), 0u);
 
   // Shrinking an already-populated cache evicts immediately.
   cache.set_capacity(16);
   EXPECT_LE(cache.size(), 16u);
-  std::remove(path.c_str());
-}
-
-TEST(ScoreCachePersist, PreStagedFormatIsRejected) {
-  // A v1 file (flat logs, no staged outcomes) must cold-start rather than
-  // load entries with missing provenance — warm-vs-cold bit-identity
-  // depends on cached entries carrying exactly what a fresh score would.
-  ps::Json root = ps::Json::object();
-  root.set("format", "pareval-score-cache");
-  root.set("pipeline", ps::u64_to_hex(pe::scoring_pipeline_hash()));
-  ps::Json entries = ps::Json::array();
-  ps::Json e = ps::Json::object();
-  e.set("key", ps::u64_to_hex(0x1234));
-  e.set("built", true);
-  e.set("passed", true);
-  e.set("log", "v1 flat log");
-  entries.push_back(std::move(e));
-  root.set("entries", std::move(entries));
-  const std::string path = temp_path("score_cache_v1.json");
-  write_file(path, root.dump());
-
-  pe::ScoreCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ScoreCachePersist, SaveDeltaWritesOnlyFreshEntries) {
-  const auto* app = pareval::apps::find_app("nanoXOR");
-  ASSERT_NE(app, nullptr);
-
-  // A "published" cache with one entry...
-  pe::ScoreCache base;
-  base.score(*app, app->repos.at(pareval::apps::Model::Cuda),
-             pareval::apps::Model::Cuda);
-  const std::string published = temp_path("score_cache_published.json");
-  ASSERT_TRUE(base.save(published));
-
-  // ...warm-starts a worker, which then scores one *new* artifact.
-  pe::ScoreCache worker;
-  ASSERT_TRUE(worker.load(published));
-  EXPECT_EQ(worker.size(), 1u);
-  worker.score(*app, app->repos.at(pareval::apps::Model::OmpThreads),
-               pareval::apps::Model::OmpThreads);
-  EXPECT_EQ(worker.size(), 2u);
-
-  // The delta holds only the entry added by this worker's run.
-  const std::string delta = temp_path("score_cache_delta.json");
-  ASSERT_TRUE(worker.save_delta(delta));
-  pe::ScoreCache delta_only;
-  ASSERT_TRUE(delta_only.load(delta));
-  EXPECT_EQ(delta_only.size(), 1u);
-
-  // Folding the delta into the published cache (the sweep_merge
-  // --merge-cache path) yields the union; a delta file is itself a valid
-  // cache file, so the fold is just load + load + save.
-  pe::ScoreCache fold;
-  ASSERT_TRUE(fold.load(published));
-  ASSERT_TRUE(fold.load(delta));
-  EXPECT_EQ(fold.size(), 2u);
-  std::remove(published.c_str());
-  std::remove(delta.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScoreCachePersist, SuiteAwareVersionInvalidatesAcrossSuites) {
   const auto* app = pareval::apps::find_app("nanoXOR");
   ASSERT_NE(app, nullptr);
-  pe::ScoreCache cache;
-  cache.score(*app, app->repos.at(pareval::apps::Model::Cuda),
-              pareval::apps::Model::Cuda);
 
-  // Persist under a custom suite's pipeline hash: a cache saved for one
+  // Persist under a custom suite's pipeline hash: a store written for one
   // suite must not warm-start a sweep of a different one.
   pe::Suite custom = pe::Suite::paper();
   pareval::apps::AppSpec tiny;
@@ -525,14 +440,24 @@ TEST(ScoreCachePersist, SuiteAwareVersionInvalidatesAcrossSuites) {
   const std::uint64_t custom_version = pe::scoring_pipeline_hash(custom);
   ASSERT_NE(custom_version, pe::scoring_pipeline_hash());
 
-  const std::string path = temp_path("score_cache_custom_suite.json");
-  ASSERT_TRUE(cache.save(path, custom_version));
+  const std::string dir = temp_path("score_cache_custom_suite_store");
+  std::filesystem::remove_all(dir);
+  pareval::cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  pe::ScoreCache cache;
+  cache.attach(store, custom_version);
+  cache.score(*app, app->repos.at(pareval::apps::Model::Cuda),
+              pareval::apps::Model::Cuda);
+  ASSERT_EQ(cache.flush(), 1u);
+
+  pareval::cache::Store reader(dir);
   pe::ScoreCache paper_reader;
-  EXPECT_FALSE(paper_reader.load(path));  // default = paper hash: stale
+  EXPECT_FALSE(paper_reader.attach(reader));  // default = paper hash: stale
+  EXPECT_EQ(paper_reader.size(), 0u);
   pe::ScoreCache custom_reader;
-  EXPECT_TRUE(custom_reader.load(path, custom_version));
+  EXPECT_TRUE(custom_reader.attach(reader, custom_version));
   EXPECT_EQ(custom_reader.size(), 1u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardFile, RejectsWrongFormatVersion) {

@@ -3,9 +3,10 @@
 // invalidates exactly the dependent TUs; caps/defines/toolchain changes
 // miss; re-registering identical content hits), bit-identity of cached vs
 // uncached diagnostics and downstream StagedScores across the seed
-// corpus, persisted-cache round trips (including failed-plan
+// corpus, journaled-store round trips (including failed-plan
 // reconstruction, version-mismatch cold starts, and the capacity bound),
-// and concurrent compile determinism across thread counts.
+// and concurrent compile determinism and exact counts across thread
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +24,7 @@
 #include "eval/harness.hpp"
 #include "execsim/driver.hpp"
 #include "support/cachestore.hpp"
+#include "support/io.hpp"
 #include "support/strings.hpp"
 
 using namespace pareval;
@@ -73,6 +74,26 @@ Repo failing_makefile_repo() {
   repo.write("Makefile", "all: app\n    g++ main.cpp -o app\n");
   repo.write("main.cpp", "int main() { return 0; }\n");
   return repo;
+}
+
+/// A fresh (removed) store directory for one test.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir;
+}
+
+/// The persisted round trip every warm start goes through: `from`
+/// attaches to `writer` and flushes, then `to` replays the same directory
+/// through `reader`. False when nothing could be replayed.
+bool round_trip(TuCompileCache& from, cache::Store& writer,
+                TuCompileCache& to, cache::Store& reader,
+                std::uint64_t version) {
+  if (!writer.open()) return false;
+  from.attach(writer, version);
+  from.flush();
+  return to.attach(reader, version);
 }
 
 Repo failing_tu_repo() {
@@ -238,23 +259,23 @@ TEST(TuCache, CachedVsUncachedDiagnosticsBitIdentical) {
   EXPECT_EQ(cold.get(), warm.get());  // shared, not recompiled
   EXPECT_EQ(direct->diags.render(), cold->diags.render());
 
-  // Persisted round trip: a fresh cache loading the file reconstructs the
-  // failed TU from its serialized outcome — identical diagnostics, no
+  // Persisted round trip: a fresh cache replaying the store reconstructs
+  // the failed TU from its serialized outcome — identical diagnostics, no
   // compile performed.
-  const std::string path = "tu_cache_diag_test.json";
-  ASSERT_TRUE(cache.save(path, 42));
+  const std::string dir = fresh_dir("tu_cache_diag_store");
+  cache::Store writer(dir), reader(dir);
   TuCompileCache loaded;
-  ASSERT_TRUE(loaded.load(path, 42));
+  ASSERT_TRUE(round_trip(cache, writer, loaded, reader, 42));
   const auto reconstructed = compile(loaded, repo, "main.cpp");
   EXPECT_EQ(loaded.persisted_hits(), 1u);
   EXPECT_EQ(loaded.misses(), 0u);
   EXPECT_EQ(direct->diags.render(), reconstructed->diags.render());
   EXPECT_EQ(direct->resolved_files, reconstructed->resolved_files);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuCache, FullBuildBitIdenticalThroughCache) {
-  // Failing and succeeding builds, uncached vs TU-cached vs warm-file
+  // Failing and succeeding builds, uncached vs TU-cached vs warm-store
   // plan reconstruction: BuildResult logs and diagnostics must match to
   // the byte.
   for (const Repo& repo : {failing_makefile_repo(), failing_tu_repo(),
@@ -269,10 +290,10 @@ TEST(TuCache, FullBuildBitIdenticalThroughCache) {
     EXPECT_EQ(uncached.build_system, cached.build_system);
     EXPECT_EQ(uncached.caps, cached.caps);
 
-    const std::string path = "tu_cache_build_test.json";
-    ASSERT_TRUE(cache.save(path, 7));
+    const std::string dir = fresh_dir("tu_cache_build_store");
+    cache::Store writer(dir), reader(dir);
     TuCompileCache loaded;
-    ASSERT_TRUE(loaded.load(path, 7));
+    ASSERT_TRUE(round_trip(cache, writer, loaded, reader, 7));
     const auto warm = buildsim::build_repo(repo, "", &loaded);
     EXPECT_EQ(uncached.ok, warm.ok);
     EXPECT_EQ(uncached.log, warm.log);
@@ -289,7 +310,7 @@ TEST(TuCache, FullBuildBitIdenticalThroughCache) {
       EXPECT_EQ(execsim::run_executable(*uncached.exe, {}).stdout_text,
                 execsim::run_executable(*warm.exe, {}).stdout_text);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
   }
 }
 
@@ -314,25 +335,25 @@ TEST(TuCache, FailedBuildWithLinkedTargetIsNeverPlanReconstructed) {
 
   TuCompileCache cache;
   const auto cached = buildsim::build_repo(repo, "", &cache);
-  const std::string path = "tu_cache_multi_target_test.json";
-  ASSERT_TRUE(cache.save(path, 11));
+  const std::string dir = fresh_dir("tu_cache_multi_target_store");
+  cache::Store writer(dir), reader(dir);
   TuCompileCache loaded;
-  ASSERT_TRUE(loaded.load(path, 11));
+  ASSERT_TRUE(round_trip(cache, writer, loaded, reader, 11));
   const auto warm = buildsim::build_repo(repo, "", &loaded);
   EXPECT_EQ(loaded.plan_hits(), 0u);  // rebuilt, not reconstructed
   EXPECT_EQ(cold.ok, warm.ok);
   EXPECT_EQ(cold.log, warm.log);
   EXPECT_EQ(cold.exe.has_value(), warm.exe.has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
   // The end-to-end gate: one pair of the paper sweep, run (1) uncached,
   // (2) through a fresh three-layer ScoreCache, and (3) through a cache
-  // whose TU layer alone was persisted and reloaded (score layer cold, so
-  // Build stages actually consult the TU file — failed plans reconstruct,
-  // successful builds recompile). All TaskResults, including per-stage
-  // logs, must be bit-identical.
+  // whose TU layer alone was persisted and replayed with the object layer
+  // off (score layer cold, so Build stages actually consult the TU
+  // streams — failed plans reconstruct, successful builds recompile). All
+  // TaskResults, including per-stage logs, must be bit-identical.
   const llm::Pair& pair = llm::all_pairs()[0];
   eval::HarnessConfig uncached;
   uncached.samples_per_task = 4;
@@ -350,17 +371,21 @@ TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
       << "the dedupe must be real: TU compiles strictly fewer than "
          "lookups";
 
-  const std::string path = "tu_cache_corpus_test.json";
-  ASSERT_TRUE(cache.tus().save(path, eval::scoring_pipeline_hash()));
-  eval::ScoreCache warm;  // score layer cold, TU layer from disk
-  ASSERT_TRUE(warm.tus().load(path, eval::scoring_pipeline_hash()));
+  const std::string dir = fresh_dir("tu_cache_corpus_store");
+  cache::Store writer(dir), reader(dir);
+  eval::ScoreCache warm;  // score layer cold, TU layer from the store
+  warm.enable_object_layer(false);
+  ASSERT_TRUE(round_trip(cache.tus(), writer, warm.tus(), reader,
+                         eval::scoring_pipeline_hash()));
   eval::HarnessConfig warm_cfg = uncached;
   warm_cfg.score_cache = &warm;
-  const auto through_file = eval::run_pair_sweep(pair, warm_cfg);
-  EXPECT_EQ(reference, through_file);
+  const auto through_store = eval::run_pair_sweep(pair, warm_cfg);
+  EXPECT_EQ(reference, through_store);
   EXPECT_GT(warm.tus().plan_hits(), 0u)
       << "failed builds must reconstruct from persisted plans";
-  std::remove(path.c_str());
+  EXPECT_GT(warm.tus().misses(), 0u)
+      << "successful outcome-only entries must recompile";
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------- persistence ----
@@ -374,41 +399,50 @@ TEST(TuCache, PersistRoundTripAndVersionMismatchColdStart) {
   EXPECT_EQ(cache.size(), 2u);        // a.cpp, b.cpp
   EXPECT_EQ(cache.plan_count(), 2u);  // one ok plan, one failed plan
 
-  const std::string path = "tu_cache_roundtrip_test.json";
-  ASSERT_TRUE(cache.save(path, 1234));
-
+  const std::string dir = fresh_dir("tu_cache_roundtrip_store");
+  cache::Store writer(dir), reader(dir);
   TuCompileCache same_version;
-  ASSERT_TRUE(same_version.load(path, 1234));
+  ASSERT_TRUE(round_trip(cache, writer, same_version, reader, 1234));
   EXPECT_EQ(same_version.size(), 2u);
   EXPECT_EQ(same_version.plan_count(), 2u);
-  // Round trip is stable: saving the loaded cache reproduces the file.
-  const std::string path2 = path + ".resaved";
-  ASSERT_TRUE(same_version.save(path2, 1234));
-  std::ifstream f1(path), f2(path2);
-  std::stringstream s1, s2;
-  s1 << f1.rdbuf();
-  s2 << f2.rdbuf();
-  EXPECT_EQ(s1.str(), s2.str());
+  // Round trip is stable: forwarding the replayed cache into a second
+  // store reproduces the first store's journals byte for byte.
+  const std::string dir2 = fresh_dir("tu_cache_roundtrip_store2");
+  cache::Store second(dir2);
+  ASSERT_TRUE(second.open());
+  TuCompileCache forward;
+  forward.attach(second, 1234);
+  ASSERT_TRUE(forward.import_store(reader, 1234));
+  forward.flush();
+  for (const std::string stream :
+       {TuCompileCache::kTuStream, TuCompileCache::kPlanStream}) {
+    const auto first_bytes = support::read_file(dir + "/" + stream +
+                                                ".journal");
+    const auto second_bytes = support::read_file(dir2 + "/" + stream +
+                                                 ".journal");
+    ASSERT_TRUE(first_bytes.has_value());
+    ASSERT_TRUE(second_bytes.has_value());
+    EXPECT_EQ(*first_bytes, *second_bytes) << stream;
+  }
 
   TuCompileCache other_version;
-  EXPECT_FALSE(other_version.load(path, 999));  // stale pipeline
+  EXPECT_FALSE(other_version.attach(reader, 999));  // stale pipeline
   EXPECT_EQ(other_version.size(), 0u);
   EXPECT_EQ(other_version.plan_count(), 0u);
 
-  TuCompileCache missing;
-  EXPECT_FALSE(missing.load("no_such_tu_cache.json", 1234));
-
-  // A malformed file loads nothing.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"format\":\"pareval-tu-cache-v1\",";
+  // Malformed stream indexes replay nothing.
+  for (const std::string stream :
+       {TuCompileCache::kTuStream, TuCompileCache::kPlanStream}) {
+    std::ofstream out(dir + "/" + stream + ".idx", std::ios::trunc);
+    out << "{\"format\":\"pareval-cachestore-v1\",";
   }
   TuCompileCache malformed;
-  EXPECT_FALSE(malformed.load(path, 1234));
+  EXPECT_FALSE(malformed.attach(reader, 1234));
   EXPECT_EQ(malformed.size(), 0u);
+  EXPECT_EQ(malformed.plan_count(), 0u);
 
-  std::remove(path.c_str());
-  std::remove(path2.c_str());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dir2);
 }
 
 TEST(TuCache, JournalStoreRoundTripReconstructsFailedPlans) {
@@ -444,51 +478,12 @@ TEST(TuCache, JournalStoreRoundTripReconstructsFailedPlans) {
   ASSERT_FALSE(buildsim::build_repo(bad, "", &warm).ok);
   EXPECT_EQ(warm.plan_hits(), 1u);
 
-  // Journal replay and legacy files agree byte for byte.
-  const std::string file_a = "tu_cache_journal_cold.json";
-  const std::string file_b = "tu_cache_journal_warm.json";
-  ASSERT_TRUE(cold.save(file_a, 1234));
-  ASSERT_TRUE(warm.save(file_b, 1234));
-  std::ifstream f1(file_a), f2(file_b);
-  std::stringstream s1, s2;
-  s1 << f1.rdbuf();
-  s2 << f2.rdbuf();
-  EXPECT_EQ(s1.str(), s2.str());
-
   TuCompileCache stale;
   EXPECT_FALSE(stale.attach(reader, 999));  // stale pipeline cold-starts
   EXPECT_EQ(stale.size(), 0u);
   EXPECT_EQ(stale.plan_count(), 0u);
 
-  std::remove(file_a.c_str());
-  std::remove(file_b.c_str());
   std::filesystem::remove_all(dir, ec);
-}
-
-TEST(TuCache, DeltaContainsOnlyFreshEntries) {
-  TuCompileCache first;
-  ASSERT_FALSE(buildsim::build_repo(failing_makefile_repo(), "", &first).ok);
-  const std::string base = "tu_cache_delta_base.json";
-  ASSERT_TRUE(first.save(base, 5));
-
-  TuCompileCache second;
-  ASSERT_TRUE(second.load(base, 5));
-  ASSERT_TRUE(buildsim::build_repo(two_tu_repo(), "", &second).ok);
-  std::size_t delta_entries = 0;
-  const std::string delta = "tu_cache_delta_test.json";
-  ASSERT_TRUE(second.save_delta(delta, 5, &delta_entries));
-  // Only this run's work: 2 TUs + 1 plan; the loaded failed plan is not
-  // re-shipped.
-  EXPECT_EQ(delta_entries, 3u);
-
-  // A delta file is itself a valid cache file.
-  TuCompileCache merged;
-  ASSERT_TRUE(merged.load(base, 5));
-  ASSERT_TRUE(merged.load(delta, 5));
-  EXPECT_EQ(merged.plan_count(), 2u);
-  EXPECT_EQ(merged.size(), 2u);
-  std::remove(base.c_str());
-  std::remove(delta.c_str());
 }
 
 TEST(TuCache, CapacityBound) {
@@ -510,7 +505,8 @@ TEST(TuCache, CapacityBound) {
 
 TEST(TuCache, PlanCapacityBound) {
   // Plans respect the same capacity bound as TU entries — whether
-  // recorded live, loaded from a file, or present when the bound shrinks.
+  // recorded live, replayed from a store, or present when the bound
+  // shrinks.
   TuCompileCache cache;
   cache.set_capacity(16);
   buildsim::BuildResult failed;
@@ -522,23 +518,26 @@ TEST(TuCache, PlanCapacityBound) {
   EXPECT_LE(cache.plan_count(), 16u);
   EXPECT_GT(cache.plan_count(), 0u);
 
-  const std::string path = "tu_cache_plan_bound_test.json";
   TuCompileCache unbounded;
   for (std::uint64_t k = 1; k <= 64; ++k) {
     unbounded.record_plan(k, failed, {});
   }
-  ASSERT_TRUE(unbounded.save(path, 3));
+  const std::string dir = fresh_dir("tu_cache_plan_bound_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  unbounded.attach(store, 3);
+  ASSERT_EQ(unbounded.flush(), 64u);
   TuCompileCache bounded;
   bounded.set_capacity(16);
-  ASSERT_TRUE(bounded.load(path, 3));  // loaded plans are bounded too
+  ASSERT_TRUE(bounded.attach(store, 3));  // replayed plans are bounded too
   EXPECT_LE(bounded.plan_count(), 16u);
 
   TuCompileCache shrunk;
-  ASSERT_TRUE(shrunk.load(path, 3));
+  ASSERT_TRUE(shrunk.attach(store, 3));
   EXPECT_EQ(shrunk.plan_count(), 64u);
   shrunk.set_capacity(16);  // shrinking prunes existing plans
   EXPECT_LE(shrunk.plan_count(), 16u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------- concurrency ----
@@ -556,6 +555,10 @@ TEST(TuCache, ConcurrentCompileDeterministicAcrossThreadCounts) {
   }
   std::vector<std::string> reference;
   for (const Repo& r : repos) reference.push_back(buildsim::build_repo(r).log);
+  // Exact counts: single-flight compiles make a shared cache's misses and
+  // plans those of a fresh serial cache, whatever the thread count.
+  TuCompileCache serial;
+  for (const Repo& r : repos) buildsim::build_repo(r, "", &serial);
 
   for (const unsigned threads : {2u, 8u}) {
     TuCompileCache shared;
@@ -585,5 +588,8 @@ TEST(TuCache, ConcurrentCompileDeterministicAcrossThreadCounts) {
     EXPECT_EQ(shared.lookups(),
               shared.hits() + shared.persisted_hits() + shared.misses());
     EXPECT_GT(shared.hits(), 0u);
+    EXPECT_EQ(shared.misses(), serial.misses()) << threads << " threads";
+    EXPECT_EQ(shared.plan_count(), serial.plan_count())
+        << threads << " threads";
   }
 }

@@ -3,9 +3,8 @@
 // (sweep_worker, sweep_merge, bench_figures, sweep_server, sweep_client).
 // Each tool used to hand-roll these — strict int parsing, the --engine
 // spelling, --spec load + validation, --cache-dir open/attach and its
-// banner, the deprecation warning for the legacy per-file cache flags —
-// with drift between the copies. Header-only because the build globs
-// every tools/*.cpp into its own executable.
+// banner — with drift between the copies. Header-only because the build
+// globs every tools/*.cpp into its own executable.
 
 #include <cstdio>
 #include <cstdlib>
@@ -13,9 +12,7 @@
 #include <climits>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "eval/harness.hpp"
@@ -41,24 +38,6 @@ inline bool parse_int(const char* text, int* out) {
   }
   *out = static_cast<int>(v);
   return true;
-}
-
-/// Legacy per-file cache flags still work, but each process warns once
-/// *per flag*: the journaled --cache-dir store subsumes them without the
-/// delta/merge choreography. (A single process-wide latch would swallow
-/// the second flag's warning when a tool passes, say, both --cache-in and
-/// --cache-out.)
-inline void warn_deprecated(const char* tool, const char* flag) {
-  static std::mutex mu;
-  static std::set<std::string> warned;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!warned.emplace(flag).second) return;
-  }
-  std::fprintf(stderr,
-               "%s: %s is deprecated; prefer --cache-dir DIR (journaled "
-               "multi-writer cache store)\n",
-               tool, flag);
 }
 
 /// Parse an --engine value ("interp" / "vm"), printing the usage error

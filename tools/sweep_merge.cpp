@@ -43,52 +43,34 @@ int usage(const char* argv0) {
       "                      without it any uniform engine is accepted\n"
       "  --out FILE          write the merged sweep (default: merged.json)\n"
       "  --report            print the figure reports off the merged sweep\n"
-      "  --verify            re-run the sweep in-process eight ways —\n"
+      "  --verify            re-run the sweep in-process seven ways —\n"
       "                      uncached, staged-cached (TU layer off),\n"
-      "                      TU-cached, score-cold/TU-warm-file (Build\n"
-      "                      stages reconstruct from the persisted TU\n"
-      "                      cache), warm-file-start (score + TU caches\n"
-      "                      reloaded from disk, Build stage skipped),\n"
-      "                      journal-warm (both layers flushed to a\n"
-      "                      cache::Store, compacted, and replayed into a\n"
-      "                      fresh cache, Build stage skipped),\n"
-      "                      object-warm (only the TU-object + link\n"
-      "                      streams replayed — every sample re-scores\n"
-      "                      but zero sources are parsed and zero\n"
-      "                      programs linked), and uncached under the\n"
-      "                      bytecode-VM engine — and fail unless shards\n"
-      "                      and every reference run are bit-identical.\n"
-      "                      With --cache-dir, a ninth store-warm\n"
-      "                      reference replays the shared directory the\n"
-      "                      workers wrote\n"
+      "                      TU-cached, and, off a cache::Store the\n"
+      "                      TU-cached run is flushed to and compacted:\n"
+      "                      score-cold/TU-warm-store (TU streams only,\n"
+      "                      object layer off: Build stages reconstruct\n"
+      "                      failed plans/TUs and recompile successful\n"
+      "                      ones), journal-warm (every stream replayed,\n"
+      "                      Build stage skipped), object-warm (only the\n"
+      "                      TU-object + link streams replayed — every\n"
+      "                      sample re-scores but zero sources are parsed\n"
+      "                      and zero programs linked); and uncached\n"
+      "                      under the bytecode-VM engine — and fail\n"
+      "                      unless shards and every reference run are\n"
+      "                      bit-identical. With --cache-dir, an eighth\n"
+      "                      store-warm reference replays the shared\n"
+      "                      directory the workers wrote\n"
       "  --cache-dir DIR     the shared journaled cache directory\n"
       "                      (cache::Store) this merge verifies against\n"
       "                      and publishes to; skipped when --verify fails\n"
       "  --import-cache-dir DIR  fold another store's streams (e.g. a\n"
       "                      per-worker journal dir) into --cache-dir\n"
       "                      (repeat per worker)\n"
-      "  --merge-cache FILE  [deprecated: use --cache-dir]\n"
-      "                      fold every --delta into FILE (loading FILE's\n"
-      "                      previous contents first) to publish a warm\n"
-      "                      cache for the next run; skipped when --verify\n"
-      "                      fails (pair it with --verify to publish only\n"
-      "                      proven scores)\n"
-      "  --delta FILE        a sweep_worker --cache-delta file (repeat\n"
-      "                      per worker)\n"
-      "  --merge-tu-cache FILE  [deprecated: use --cache-dir]\n"
-      "                      fold every --tu-delta into FILE (the\n"
-      "                      published pareval-tu-cache-v1 file)\n"
-      "  --tu-delta FILE     a sweep_worker --tu-cache-delta file (repeat\n"
-      "                      per worker)\n"
       "All shards must come from ONE spec; to cover several pairs in one\n"
       "merge, select them in one spec (or --pair all) instead of merging\n"
       "separate per-pair sweeps.\n",
       argv0);
   return 2;
-}
-
-void warn_deprecated(const char* flag) {
-  tools::warn_deprecated("sweep_merge", flag);
 }
 
 }  // namespace
@@ -99,10 +81,6 @@ int main(int argc, char** argv) {
   std::string engine_arg;
   std::string cache_dir;
   std::vector<std::string> import_dirs;
-  std::string merge_cache_path;
-  std::vector<std::string> delta_paths;
-  std::string merge_tu_cache_path;
-  std::vector<std::string> tu_delta_paths;
   bool report = false;
   bool verify = false;
   std::vector<std::string> inputs;
@@ -118,16 +96,6 @@ int main(int argc, char** argv) {
       cache_dir = argv[++i];
     } else if (arg == "--import-cache-dir" && i + 1 < argc) {
       import_dirs.push_back(argv[++i]);
-    } else if (arg == "--merge-cache" && i + 1 < argc) {
-      warn_deprecated("--merge-cache");
-      merge_cache_path = argv[++i];
-    } else if (arg == "--delta" && i + 1 < argc) {
-      delta_paths.push_back(argv[++i]);
-    } else if (arg == "--merge-tu-cache" && i + 1 < argc) {
-      warn_deprecated("--merge-tu-cache");
-      merge_tu_cache_path = argv[++i];
-    } else if (arg == "--tu-delta" && i + 1 < argc) {
-      tu_delta_paths.push_back(argv[++i]);
     } else if (arg == "--report") {
       report = true;
     } else if (arg == "--verify") {
@@ -139,16 +107,6 @@ int main(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return usage(argv[0]);
-  if (!delta_paths.empty() && merge_cache_path.empty()) {
-    std::fprintf(stderr,
-                 "sweep_merge: --delta requires --merge-cache FILE\n");
-    return 2;
-  }
-  if (!tu_delta_paths.empty() && merge_tu_cache_path.empty()) {
-    std::fprintf(stderr,
-                 "sweep_merge: --tu-delta requires --merge-tu-cache FILE\n");
-    return 2;
-  }
   if (!import_dirs.empty() && cache_dir.empty()) {
     std::fprintf(stderr,
                  "sweep_merge: --import-cache-dir requires --cache-dir "
@@ -229,20 +187,20 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   if (verify) {
-    // Eight in-process references: uncached, staged two-layer cache (TU
-    // layer off), TU-cached (all three layers), score-cold/TU-warm-file
-    // (persisted plans/TUs reconstruct during real Build stages), a
-    // warm *file* start (score + TU caches reloaded; Build skipped), a
-    // journal-warm start (both layers flushed to a cache::Store,
-    // compacted, and replayed into a fresh cache; Build skipped), an
-    // object-warm start (only the TU-object + link streams replayed —
-    // every sample re-scores, but the warm-object store must satisfy
-    // every Build with zero parses and zero links), and an uncached run
-    // under the bytecode-VM engine. Shards and all eight runs must be
+    // Seven in-process references: uncached, staged two-layer cache (TU
+    // layer off), TU-cached (all layers), and three starts off a
+    // cache::Store the TU-cached run is flushed to and compacted —
+    // score-cold/TU-warm-store (only the TU streams, object layer off:
+    // persisted failed plans/TUs reconstruct and successful outcome-only
+    // entries recompile and upgrade in place during real Build stages),
+    // journal-warm (every stream replayed; Build skipped), and
+    // object-warm (only the TU-object + link streams replayed — every
+    // sample re-scores, but the warm-object store must satisfy every
+    // Build with zero parses and zero links) — plus an uncached run under
+    // the bytecode-VM engine. Shards and all seven runs must be
     // bit-identical — the CI gate that proves distribution, every cache
-    // layer (live, persisted, journaled, or serialized objects), and
-    // the alternate execution engine are all pure memoization / pure
-    // reimplementation.
+    // layer (live, journaled, or serialized objects), and the alternate
+    // execution engine are all pure memoization / pure reimplementation.
     eval::HarnessConfig uncached;
     uncached.use_score_cache = false;
     const auto reference = eval::run_sweep(suite, spec, uncached);
@@ -277,77 +235,13 @@ int main(int argc, char** argv) {
         tu_cached.tus().lookups());
     if (!tu_identical) ++mismatches;
 
-    // Warm file start: persist the TU-cached run's score + TU layers,
-    // reload them into a fresh cache, and re-run. Every score must come
-    // from the reloaded file — the Build stage (and with it every TU
-    // compile) is skipped entirely.
-    const std::string verify_score = out_path + ".verify-score-cache.json";
-    const std::string verify_tu = out_path + ".verify-tu-cache.json";
     const std::uint64_t pipeline_version =
         eval::scoring_pipeline_hash(suite);
-    if (!tu_cached.save(verify_score, pipeline_version) ||
-        !tu_cached.tus().save(verify_tu, pipeline_version)) {
-      std::fprintf(stderr,
-                   "sweep_merge: could not persist verify caches\n");
-      ++mismatches;
-    } else {
-      // First, a score-cold/TU-warm reference: only the TU file is
-      // reloaded, so Build stages actually run against the persisted
-      // entries — failed plans and failed TUs must reconstruct
-      // bit-identically from disk (the warm-file-start run below skips
-      // Build entirely, so it alone would never exercise this path).
-      eval::ScoreCache tu_warm;
-      if (!tu_warm.tus().load(verify_tu, pipeline_version)) {
-        std::fprintf(stderr,
-                     "sweep_merge: could not reload TU verify cache\n");
-        ++mismatches;
-      } else {
-        cached.score_cache = &tu_warm;
-        const auto tu_warm_reference = eval::run_sweep(suite, spec, cached);
-        const bool tu_warm_identical = tu_warm_reference == reference;
-        std::printf(
-            "determinism (score-cold/TU-warm-file vs uncached): %s (%zu "
-            "plan hits, %zu persisted TU hits, %zu TU compiles)\n",
-            tu_warm_identical ? "IDENTICAL" : "MISMATCH",
-            tu_warm.tus().plan_hits(), tu_warm.tus().persisted_hits(),
-            tu_warm.tus().misses());
-        if (!tu_warm_identical) ++mismatches;
-      }
 
-      eval::ScoreCache warm;
-      if (!warm.load(verify_score, pipeline_version) ||
-          !warm.tus().load(verify_tu, pipeline_version)) {
-        std::fprintf(stderr,
-                     "sweep_merge: could not reload verify caches\n");
-        ++mismatches;
-      } else {
-        cached.score_cache = &warm;
-        const auto warm_reference = eval::run_sweep(suite, spec, cached);
-        const bool warm_identical = warm_reference == reference;
-        // A warm file start must never rebuild: zero build-layer misses
-        // means the Build stage was skipped for every sample.
-        const bool build_skipped =
-            warm.builds().misses() == 0 && warm.tus().misses() == 0;
-        std::printf(
-            "determinism (warm-file-start vs uncached): %s (score layer "
-            "%zu hits / %zu misses; Build stage %s: %zu builds, %zu TU "
-            "compiles)\n",
-            warm_identical ? "IDENTICAL" : "MISMATCH", warm.hits(),
-            warm.misses(), build_skipped ? "SKIPPED" : "NOT SKIPPED",
-            warm.builds().misses(), warm.tus().misses());
-        if (!warm_identical || !build_skipped) ++mismatches;
-      }
-    }
-    std::remove(verify_score.c_str());
-    std::remove(verify_tu.c_str());
-
-    // Journal-warm reference: flush the TU-cached run's score + TU layers
-    // into a throwaway cache::Store, compact every stream (so the replay
-    // crosses a generation bump), and replay the store into a fresh cache
-    // through a separate Store instance — the multi-writer analogue of
-    // the warm-file-start reference. Must be bit-identical with the Build
-    // stage skipped, proving journaled persistence round-trips exactly
-    // like the legacy files.
+    // The store-backed references: flush the TU-cached run's layers into
+    // a throwaway cache::Store, compact every stream (so each replay
+    // crosses a generation bump), and replay it into fresh caches through
+    // separate Store instances.
     {
       const std::string store_dir = out_path + ".verify-store";
       std::error_code ec;
@@ -381,6 +275,33 @@ int main(int argc, char** argv) {
                      "verify store\n");
         ++mismatches;
       } else {
+        // Score-cold/TU-warm reference: only the TU layer attaches, with
+        // the object layer off, so Build stages actually run against the
+        // persisted outcomes — failed plans and failed TUs must
+        // reconstruct bit-identically, and successful outcome-only
+        // entries recompile and upgrade in place. (The obj1 payloads the
+        // TU attach also replays stay unused with the object layer off.)
+        cache::Store tu_reader(store_dir);
+        eval::ScoreCache tu_warm;
+        tu_warm.enable_object_layer(false);
+        if (!tu_warm.tus().attach(tu_reader, pipeline_version)) {
+          std::fprintf(stderr,
+                       "sweep_merge: could not replay the TU-warm verify "
+                       "store\n");
+          ++mismatches;
+        } else {
+          cached.score_cache = &tu_warm;
+          const auto tu_warm_reference = eval::run_sweep(suite, spec, cached);
+          const bool tu_warm_identical = tu_warm_reference == reference;
+          std::printf(
+              "determinism (score-cold/TU-warm-store vs uncached): %s (%zu "
+              "plan hits, %zu persisted TU hits, %zu TU compiles)\n",
+              tu_warm_identical ? "IDENTICAL" : "MISMATCH",
+              tu_warm.tus().plan_hits(), tu_warm.tus().persisted_hits(),
+              tu_warm.tus().misses());
+          if (!tu_warm_identical) ++mismatches;
+        }
+
         cache::Store reader(store_dir);
         eval::ScoreCache journal_warm;
         if (!journal_warm.attach(reader, pipeline_version) ||
@@ -521,75 +442,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-
-  // Fold the workers' cache deltas into a published cache so the next
-  // sweep warm-starts from this run's scores. Existing published entries
-  // survive (load-then-merge); a stale or missing published file just
-  // means the deltas seed a fresh one. Never publish from a run that
-  // failed verification — a divergent sweep's scores must not warm-start
-  // anything.
-  if (!merge_cache_path.empty() && mismatches > 0) {
-    std::fprintf(stderr,
-                 "sweep_merge: verification failed — not publishing %s\n",
-                 merge_cache_path.c_str());
-  }
-  if (!merge_cache_path.empty() && mismatches == 0) {
-    eval::ScoreCache published;
-    const bool had_previous = published.load(merge_cache_path);
-    std::size_t loaded = 0;
-    for (const std::string& delta : delta_paths) {
-      if (published.load(delta)) {
-        ++loaded;
-      } else {
-        std::fprintf(stderr,
-                     "sweep_merge: skipping stale/unreadable cache delta "
-                     "%s\n",
-                     delta.c_str());
-      }
-    }
-    if (!published.save(merge_cache_path)) {
-      std::fprintf(stderr, "sweep_merge: could not write merged cache %s\n",
-                   merge_cache_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "merged %zu/%zu cache deltas into %s (%zu entries%s)\n", loaded,
-        delta_paths.size(), merge_cache_path.c_str(), published.size(),
-        had_previous ? ", on top of the previous published cache" : "");
-  }
-  if (!merge_tu_cache_path.empty() && mismatches > 0) {
-    std::fprintf(stderr,
-                 "sweep_merge: verification failed — not publishing %s\n",
-                 merge_tu_cache_path.c_str());
-  }
-  if (!merge_tu_cache_path.empty() && mismatches == 0) {
-    const std::uint64_t pipeline_version = eval::scoring_pipeline_hash();
-    buildsim::TuCompileCache published_tus;
-    const bool had_previous =
-        published_tus.load(merge_tu_cache_path, pipeline_version);
-    std::size_t loaded = 0;
-    for (const std::string& delta : tu_delta_paths) {
-      if (published_tus.load(delta, pipeline_version)) {
-        ++loaded;
-      } else {
-        std::fprintf(stderr,
-                     "sweep_merge: skipping stale/unreadable TU-cache "
-                     "delta %s\n",
-                     delta.c_str());
-      }
-    }
-    if (!published_tus.save(merge_tu_cache_path, pipeline_version)) {
-      std::fprintf(stderr,
-                   "sweep_merge: could not write merged TU cache %s\n",
-                   merge_tu_cache_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "merged %zu/%zu TU-cache deltas into %s (%zu TUs, %zu plans%s)\n",
-        loaded, tu_delta_paths.size(), merge_tu_cache_path.c_str(),
-        published_tus.size(), published_tus.plan_count(),
-        had_previous ? ", on top of the previous published cache" : "");
-  }
 
   // Fold per-worker journal dirs into the shared store. With one shared
   // --cache-dir the workers already appended directly and this is a
