@@ -133,7 +133,7 @@ int main() {
   cache::Store store("custom_suite_store");
   if (store.open()) {
     cache.attach(store, version);
-    std::printf("persisted %zu scores to custom_suite_store\n",
+    std::printf("persisted %zu cache records to custom_suite_store\n",
                 cache.flush());
   }
   return 0;

@@ -321,8 +321,7 @@ struct LinkCache::Impl {
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> persisted_hits{0};
   std::atomic<std::size_t> misses{0};
-  cache::Store* store = nullptr;
-  std::uint64_t store_version = 0;
+  cache::Binding binding;  // attached journal store (optional)
 };
 
 LinkCache::LinkCache() : impl_(new Impl) {}
@@ -402,6 +401,7 @@ void LinkCache::clear() {
   impl_->hits.store(0);
   impl_->persisted_hits.store(0);
   impl_->misses.store(0);
+  impl_->binding.reset();
 }
 
 void LinkCache::set_capacity(std::size_t max_entries) {
@@ -422,15 +422,16 @@ bool LinkCache::load_records(cache::Store& store, std::uint64_t version,
         }
         impl_->entries.upsert(key, [&](Impl::Entry& entry) {
           entry.payload = std::move(payload);  // journal replay: last wins
-          entry.published = published;
+          // An import never unpublishes what the store already holds.
+          entry.published = entry.published || published;
         });
       });
 }
 
 bool LinkCache::attach(cache::Store& store, std::uint64_t version) {
-  impl_->store = &store;
-  impl_->store_version = version;
-  return load_records(store, version, /*published=*/true);
+  return impl_->binding.attach(store, version, [&] {
+    return load_records(store, version, /*published=*/true);
+  });
 }
 
 bool LinkCache::import_store(cache::Store& store, std::uint64_t version) {
@@ -439,7 +440,8 @@ bool LinkCache::import_store(cache::Store& store, std::uint64_t version) {
 
 std::size_t LinkCache::flush() {
   Impl& impl = *impl_;
-  if (impl.store == nullptr) return 0;
+  cache::Store* const store = impl.binding.store();
+  if (store == nullptr) return 0;
   struct Pending {
     std::uint64_t key = 0;
     std::string payload;                      // forwarded or encoded
@@ -479,15 +481,15 @@ std::size_t LinkCache::flush() {
   }
 
   const std::uint64_t version =
-      minic::obj_stream_version(impl.store_version);
-  if (!impl.store->append_batch(kStream, version, records)) return 0;
+      minic::obj_stream_version(impl.binding.version());
+  if (!store->append_batch(kStream, version, records)) return 0;
 
   for (const std::uint64_t key : appended) {
     impl.entries.visit(key, [](Impl::Entry* entry) {
       if (entry != nullptr) entry->published = true;
     });
   }
-  impl.store->maybe_compact(kStream, version);
+  store->maybe_compact(kStream, version);
   return appended.size();
 }
 
@@ -498,6 +500,9 @@ Json LinkCache::stats() const {
   j.set("misses", static_cast<long long>(misses()));
   j.set("lookups", static_cast<long long>(lookups()));
   j.set("entries", static_cast<long long>(size()));
+  if (const cache::Store* store = impl_->binding.store()) {
+    j.set("journal", store->stats_json(kStream));
+  }
   return j;
 }
 

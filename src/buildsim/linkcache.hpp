@@ -81,7 +81,8 @@ class LinkCache {
 
   /// Bind to a shared store and replay its "lnk1" stream (payloads stay
   /// serialized until a lookup needs them). Same contract as the TU
-  /// layer's attach: false iff the stream is absent or stale.
+  /// layer's attach: false iff the stream is absent or stale, and a
+  /// repeated attach of the bound store is a no-op.
   bool attach(cache::Store& store, std::uint64_t version);
   /// Replay without binding — imported records flush() forward.
   bool import_store(cache::Store& store, std::uint64_t version);
@@ -91,7 +92,8 @@ class LinkCache {
   /// be encoded is skipped, never half-written.
   std::size_t flush();
   /// Pinned-key counters object: hits, persisted_hits, misses, lookups,
-  /// entries.
+  /// entries, plus the "lnk1" stream's "journal" block when a store is
+  /// attached. The "link" block of eval::ScoreCache::stats().
   support::Json stats() const;
 
  private:

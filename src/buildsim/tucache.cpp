@@ -467,8 +467,7 @@ struct TuCompileCache::Impl {
   std::atomic<std::size_t> misses{0};
   std::atomic<std::size_t> plan_hits{0};
   std::atomic<bool> object_layer{true};
-  cache::Store* store = nullptr;  // attached journal store (optional)
-  std::uint64_t store_version = 0;
+  cache::Binding binding;  // attached journal store (optional)
 };
 
 TuCompileCache::TuCompileCache() : impl_(new Impl) {}
@@ -583,6 +582,7 @@ void TuCompileCache::clear() {
   impl_->obj_hits.store(0);
   impl_->misses.store(0);
   impl_->plan_hits.store(0);
+  impl_->binding.reset();
 }
 
 void TuCompileCache::set_capacity(std::size_t max_entries) {
@@ -647,7 +647,8 @@ bool TuCompileCache::load_records(cache::Store& store,
           for (Impl::Entry& entry : *group) {
             if (Impl::manifest_digest(*entry.manifest) != digest) continue;
             entry.obj = std::move(payload);  // journal replay: last wins
-            entry.obj_published = published;
+            // An import never unpublishes what the store already holds.
+            entry.obj_published = entry.obj_published || published;
             break;
           }
         });
@@ -656,9 +657,9 @@ bool TuCompileCache::load_records(cache::Store& store,
 }
 
 bool TuCompileCache::attach(cache::Store& store, std::uint64_t version) {
-  impl_->store = &store;
-  impl_->store_version = version;
-  return load_records(store, version, /*published=*/true);
+  return impl_->binding.attach(store, version, [&] {
+    return load_records(store, version, /*published=*/true);
+  });
 }
 
 bool TuCompileCache::import_store(cache::Store& store,
@@ -668,7 +669,9 @@ bool TuCompileCache::import_store(cache::Store& store,
 
 std::size_t TuCompileCache::flush() {
   Impl& impl = *impl_;
-  if (impl.store == nullptr) return 0;
+  cache::Store* const store = impl.binding.store();
+  if (store == nullptr) return 0;
+  const std::uint64_t version = impl.binding.version();
   // Everything the attached store has not seen, in a deterministic
   // order: key, then manifest. The manifest pointer identifies each entry
   // again after the append (manifests are never replaced, only evicted).
@@ -749,17 +752,10 @@ std::size_t TuCompileCache::flush() {
 
   // Empty batches still stamp the stream index, so a first flush seeds
   // the store under the right pipeline version either way.
-  if (!impl.store->append_batch(kTuStream, impl.store_version,
-                                tu_records)) {
-    return 0;
-  }
-  if (!impl.store->append_batch(kPlanStream, impl.store_version,
-                                plan_records)) {
-    return 0;
-  }
-  const std::uint64_t obj_version =
-      minic::obj_stream_version(impl.store_version);
-  if (!impl.store->append_batch(kObjStream, obj_version, obj_records)) {
+  if (!store->append_batch(kTuStream, version, tu_records)) return 0;
+  if (!store->append_batch(kPlanStream, version, plan_records)) return 0;
+  const std::uint64_t obj_version = minic::obj_stream_version(version);
+  if (!store->append_batch(kObjStream, obj_version, obj_records)) {
     return 0;
   }
 
@@ -784,9 +780,9 @@ std::size_t TuCompileCache::flush() {
     mark(p.key, p.manifest, &Impl::Entry::obj_published);
   }
 
-  impl.store->maybe_compact(kTuStream, impl.store_version);
-  impl.store->maybe_compact(kPlanStream, impl.store_version);
-  impl.store->maybe_compact(kObjStream, obj_version);
+  store->maybe_compact(kTuStream, version);
+  store->maybe_compact(kPlanStream, version);
+  store->maybe_compact(kObjStream, obj_version);
   return tus.size() + plans.size() + objs.size();
 }
 
@@ -800,6 +796,15 @@ Json TuCompileCache::stats() const {
   j.set("plan_hits", static_cast<long long>(plan_hits()));
   j.set("entries", static_cast<long long>(size()));
   j.set("plans", static_cast<long long>(plan_count()));
+  const std::size_t n = lookups();
+  j.set("dedupe_ratio", n == 0 ? 0.0
+                                : static_cast<double>(n - misses()) /
+                                      static_cast<double>(n));
+  if (const cache::Store* store = impl_->binding.store()) {
+    j.set("journal", store->stats_json(kTuStream));
+    j.set("plan_journal", store->stats_json(kPlanStream));
+    j.set("obj_journal", store->stats_json(kObjStream));
+  }
   return j;
 }
 

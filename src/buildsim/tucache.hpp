@@ -174,11 +174,13 @@ class TuCompileCache {
   /// cold-starts exactly this stream.
   static constexpr const char* kObjStream = "obj1";
 
-  /// Bind this cache to a shared cache::Store and replay its "tu" and
-  /// "tuplan" streams into memory (entries already here win — outcomes
-  /// are pure). flush() appends to the attached store from then on.
-  /// Returns false iff the store's streams are absent or stale (the
-  /// cache still works; flush() will seed them).
+  /// Bind this cache to a shared cache::Store and replay its "tu",
+  /// "tuplan" and "obj1" streams into memory (entries already here win —
+  /// outcomes are pure). flush() appends to the attached store from then
+  /// on. Returns false iff the store's streams are absent or stale (the
+  /// cache still works; flush() will seed them). Re-attaching the store
+  /// this cache is already bound to, under the same version and with no
+  /// clear() in between, replays nothing and returns the first result.
   bool attach(cache::Store& store, std::uint64_t version);
   /// Replay another store's streams into memory WITHOUT binding to it:
   /// imported records are not marked as published in the attached store,
@@ -191,7 +193,10 @@ class TuCompileCache {
   std::size_t flush();
   /// Counters as a JSON object with pinned key order (hits,
   /// persisted_hits, obj_hits, misses, lookups, plan_hits, entries,
-  /// plans) — the uniform layer-stats surface CACHE_stats.json composes.
+  /// plans, dedupe_ratio = (lookups - misses) / lookups), plus — when a
+  /// store is attached — the journal blocks of its streams: "journal"
+  /// (tu), "plan_journal" (tuplan) and "obj_journal" (obj1). The "tu"
+  /// block of eval::ScoreCache::stats().
   support::Json stats() const;
 
  private:

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "buildsim/builder.hpp"
+#include "execsim/driver.hpp"
 #include "support/json.hpp"
 #include "support/par.hpp"
 #include "support/rng.hpp"
@@ -150,6 +151,7 @@ void ScoreCache::clear() {
   builds_.clear();
   tus_.clear();
   links_.clear();
+  binding_.reset();
 }
 
 bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
@@ -166,17 +168,30 @@ bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
 }
 
 bool ScoreCache::attach(cache::Store& store, std::uint64_t version) {
-  store_ = &store;
-  store_version_ = version;
-  return load_records(store, version, /*published=*/true);
+  const bool warm = binding_.attach(store, version, [&] {
+    return load_records(store, version, /*published=*/true);
+  });
+  tus_.attach(store, version);
+  links_.attach(store, version);
+  return warm;
 }
 
 bool ScoreCache::import_store(cache::Store& store, std::uint64_t version) {
-  return load_records(store, version, /*published=*/false);
+  const bool scores = load_records(store, version, /*published=*/false);
+  const bool tus = tus_.import_store(store, version);
+  const bool links = links_.import_store(store, version);
+  return scores || tus || links;
 }
 
 std::size_t ScoreCache::flush() {
-  if (store_ == nullptr) return 0;
+  const std::size_t scores = flush_scores();
+  const std::size_t tus = tus_.flush();
+  return scores + tus + links_.flush();
+}
+
+std::size_t ScoreCache::flush_scores() {
+  cache::Store* const store = binding_.store();
+  if (store == nullptr) return 0;
   // Everything the attached store has not seen: scored here since
   // attach(), or folded in via import_store(). Key order makes the batch
   // deterministic.
@@ -191,14 +206,34 @@ std::size_t ScoreCache::flush() {
   for (const auto& [key, result] : pending) {
     records.push_back(score_record(key, result));
   }
-  if (!store_->append_batch(kStream, store_version_, records)) return 0;
+  if (!store->append_batch(kStream, binding_.version(), records)) return 0;
   for (const auto& [key, result] : pending) {
     scores_.visit(key, [](Entry* entry) {
       if (entry != nullptr) entry->published = true;
     });
   }
-  store_->maybe_compact(kStream, store_version_);
+  store->maybe_compact(kStream, binding_.version());
   return pending.size();
+}
+
+Json ScoreCache::stats() const {
+  Json score = scores_.stats();
+  if (const cache::Store* store = binding_.store()) {
+    score.set("journal", store->stats_json(kStream));
+  }
+  const execsim::DriverCounters counters = execsim::driver_counters();
+  Json driver = Json::object();
+  driver.set("parses", static_cast<long long>(counters.parses));
+  driver.set("links", static_cast<long long>(counters.links));
+  driver.set("tree_fallbacks",
+             static_cast<long long>(counters.tree_fallbacks));
+  Json j = Json::object();
+  j.set("score", std::move(score));
+  j.set("builds", builds_.stats());
+  j.set("tu", tus_.stats());
+  j.set("link", links_.stats());
+  j.set("driver", std::move(driver));
+  return j;
 }
 
 ScoreCache& ScoreCache::global() {

@@ -176,15 +176,19 @@ std::uint64_t scoring_pipeline_hash();
 /// build-failure defect class) share every TU compile; tus().misses()
 /// counts TU compiles actually performed.
 ///
-/// The score and TU layers are persistent through one uniform surface
-/// over the journaled cache::Store: attach() warm-replays the layer's
-/// record stream and binds the store, flush() appends what this process
-/// computed since (one locked batch; N workers sharing one store
-/// directory need no merge step), and import_store() folds another
-/// store's records in for fan-in replay. Figure regeneration after a
+/// ScoreCache is the one persistence and stats surface of the whole stack.
+/// attach() binds every persistent layer to a journaled cache::Store and
+/// warm-replays its five streams ("score", "tu", "tuplan", "obj1",
+/// "lnk1"); flush() appends what this process computed since (one locked
+/// batch per stream; N workers sharing one store directory need no merge
+/// step); import_store() folds another store's streams in for fan-in
+/// replay; stats() reports every layer. Figure regeneration after a
 /// code-only change therefore warm-starts from the previous run's scores,
 /// and a warm start skips Build-stage compile work too (the
 /// build-artifact layer holds live executables and stays process-local).
+/// The TU and link layers keep their own attach/flush for callers that
+/// withhold the score stream (sweep_merge --verify's object-warm
+/// reference, bench_figures --no-score-layer).
 ///
 /// Every layer sits on a support::ShardedCache: LRU-bounded, and
 /// single-flight on misses, so each layer's misses() counts the distinct
@@ -212,7 +216,7 @@ class ScoreCache {
   const BuildArtifactCache& builds() const noexcept { return builds_; }
 
   /// The lower (TU compile) layer: per-layer stats, capacity, and its own
-  /// attach/flush.
+  /// attach/flush for callers that withhold the score stream.
   buildsim::TuCompileCache& tus() noexcept { return tus_; }
   const buildsim::TuCompileCache& tus() const noexcept { return tus_; }
 
@@ -257,29 +261,40 @@ class ScoreCache {
   /// The journal stream name this layer reads/appends in a cache::Store.
   static constexpr const char* kStream = "score";
 
-  /// Bind this cache to a journaled store and warm-replay its "score"
-  /// stream (entries marked published: flush() will not re-append them).
-  /// Returns false — binding anyway, loading nothing — when the stream is
-  /// absent or was written under a different `version` (stale journal).
+  /// Bind the score, TU and link layers to a journaled store and
+  /// warm-replay all five streams (entries marked published: flush() will
+  /// not re-append them). Returns whether the score stream was warm:
+  /// false — binding anyway, loading nothing from it — when it is absent
+  /// or was written under a different `version` (stale journal). Every
+  /// layer's attach is a no-op on the store it is already bound to, so a
+  /// caller that also attaches tus() or links() replays nothing twice.
   bool attach(cache::Store& store,
               std::uint64_t version = scoring_pipeline_hash());
-  /// Replay another store's "score" stream into this cache WITHOUT
-  /// binding it: records insert if absent and are marked unpublished, so
-  /// a following flush() appends them to the attached store — the fan-in
-  /// "replay all worker journals into one published store" step.
+  /// Replay another store's five streams into this cache WITHOUT binding
+  /// it: records insert if absent and are marked unpublished, so a
+  /// following flush() appends them to the attached store — the fan-in
+  /// "replay all worker journals into one published store" step. True
+  /// when any stream replayed.
   bool import_store(cache::Store& store,
                     std::uint64_t version = scoring_pipeline_hash());
-  /// Append every entry not yet in the attached store (scored here since
-  /// attach, or folded in via import_store) as one locked journal batch,
-  /// then compact the stream if its journal outgrew the store's
-  /// threshold. Entries append in key order, so two flushes of the same
-  /// state write byte-identical batches. Returns the number of records
-  /// appended (0 when detached or nothing is pending).
+  /// Append every record not yet in the attached store (computed here
+  /// since attach, or folded in via import_store) — score, then TU, then
+  /// link, one locked batch per stream, each in key order so two flushes
+  /// of the same state write byte-identical batches — compacting each
+  /// stream whose journal outgrew the store's threshold. A layer with no
+  /// store bound appends nothing. Returns the total records appended.
   std::size_t flush();
 
-  /// Score-layer counters as JSON with a pinned key order (hits, misses,
-  /// entries) — the "score" block of CACHE_stats.json.
-  support::Json stats() const { return scores_.stats(); }
+  /// The whole stack as one JSON object with a pinned key order: "score",
+  /// "builds", "tu", "link" (each that layer's own stats(); "score" is
+  /// hits, misses, entries) and "driver" — the process-wide
+  /// execsim::driver_counters() (parses, links, tree_fallbacks), which
+  /// count every ScoreCache in the process, not just this one. A layer
+  /// bound to a store adds the journal blocks of its streams:
+  /// score.journal, tu.journal, tu.plan_journal, tu.obj_journal and
+  /// link.journal. CACHE_stats.json and the sweep_server status "cache"
+  /// block are this object.
+  support::Json stats() const;
 
   /// Process-wide instance used by run_task when use_score_cache is set.
   static ScoreCache& global();
@@ -292,9 +307,9 @@ class ScoreCache {
 
   bool load_records(cache::Store& store, std::uint64_t version,
                     bool published);
+  std::size_t flush_scores();
 
-  cache::Store* store_ = nullptr;
-  std::uint64_t store_version_ = 0;
+  cache::Binding binding_;
   support::ShardedCache<std::uint64_t, Entry> scores_{1 << 16};
   BuildArtifactCache builds_{1 << 12};
   buildsim::TuCompileCache tus_;

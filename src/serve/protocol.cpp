@@ -276,20 +276,18 @@ bool FoldRequest::decode(const Json& j, FoldRequest* out) {
 Json FoldReply::encode() const {
   Json j = tagged("fold_reply");
   j.set("ok", ok);
-  j.set("score_records", score_records);
-  j.set("tu_records", tu_records);
+  j.set("records", records);
   j.set("error", error);
   return j;
 }
 
 bool FoldReply::decode(const Json& j, FoldReply* out) {
   if (!is_type(j, "fold_reply") || !j["ok"].is_bool() ||
-      !j["score_records"].is_number() || !j["tu_records"].is_number()) {
+      !j["records"].is_number()) {
     return false;
   }
   out->ok = j["ok"].as_bool();
-  out->score_records = j["score_records"].as_int();
-  out->tu_records = j["tu_records"].as_int();
+  out->records = j["records"].as_int();
   out->error = j["error"].as_string();
   return true;
 }

@@ -49,7 +49,7 @@ namespace pareval::serve {
 /// Protocol revision; bumped on any incompatible message change. The
 /// server's hello carries it and clients refuse to speak to a different
 /// revision.
-constexpr long long kProtocolVersion = 1;
+constexpr long long kProtocolVersion = 2;
 
 /// Frames larger than this are rejected as corrupt before allocation —
 /// no legitimate message (even a full ci-subset sample stream frame)
@@ -186,8 +186,7 @@ struct FoldRequest {
 
 struct FoldReply {
   bool ok = false;
-  long long score_records = 0;  // appended to the server's store
-  long long tu_records = 0;
+  long long records = 0;  // appended to the server's store, all streams
   std::string error;
 
   support::Json encode() const;

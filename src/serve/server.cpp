@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "execsim/driver.hpp"
 #include "serve/protocol.hpp"
 #include "support/strings.hpp"
 
@@ -42,8 +41,6 @@ bool SweepServer::start(std::string* error) {
     // A cold (or stale-version) stream loads nothing; the drain's flush
     // seeds it. Either way the layers are bound now.
     cache_.attach(*store_, version_);
-    cache_.tus().attach(*store_, version_);
-    cache_.links().attach(*store_, version_);
   }
   queue_ = std::make_unique<JobQueue>(suite_, config_.max_inflight);
   if (!listener_.open(endpoint_, error)) return false;
@@ -61,8 +58,6 @@ void SweepServer::wait() {
   // the job population can only shrink from here.
   queue_->wait_idle();
   cache_.flush();
-  cache_.tus().flush();
-  cache_.links().flush();
   // Handler threads notice the drain on their next receive timeout and
   // close their connections after their last job's `done` went out.
   for (auto& t : handlers_) t.join();
@@ -274,6 +269,7 @@ Json SweepServer::status_body() const {
   body.set("draining", draining());
   body.set("protocol", kProtocolVersion);
   body.set("pipeline", support::u64_to_hex(version_));
+  body.set("cache_dir", config_.cache_dir);
 
   Json queue = Json::object();
   queue.set("active_jobs", static_cast<long long>(queue_->active_jobs()));
@@ -297,44 +293,16 @@ Json SweepServer::status_body() const {
   }
   body.set("jobs", jobs);
 
-  Json cache = Json::object();
-  cache.set("score", cache_.stats());
-  cache.set("builds", cache_.builds().stats());
-  cache.set("tu", cache_.tus().stats());
-  cache.set("link", cache_.links().stats());
-  const execsim::DriverCounters drv = execsim::driver_counters();
-  Json driver = Json::object();
-  driver.set("parses", static_cast<long long>(drv.parses));
-  driver.set("links", static_cast<long long>(drv.links));
-  driver.set("tree_fallbacks", static_cast<long long>(drv.tree_fallbacks));
-  cache.set("driver", driver);
-  body.set("cache", cache);
-
-  if (store_.has_value()) {
-    Json store = Json::object();
-    store.set("dir", store_->dir());
-    store.set("score", store_->stats_json(eval::ScoreCache::kStream));
-    store.set("tu",
-              store_->stats_json(buildsim::TuCompileCache::kTuStream));
-    store.set("tuplan",
-              store_->stats_json(buildsim::TuCompileCache::kPlanStream));
-    store.set("obj",
-              store_->stats_json(buildsim::TuCompileCache::kObjStream));
-    store.set("lnk", store_->stats_json(buildsim::LinkCache::kStream));
-    body.set("store", store);
-  }
+  body.set("cache", cache_.stats());
   return body;
 }
 
 Json SweepServer::fold_store(const std::string& dir) {
   FoldReply reply;
   cache::Store other(dir);
-  const bool scores = cache_.import_store(other, version_);
-  const bool tus = cache_.tus().import_store(other, version_);
-  const bool links = cache_.links().import_store(other, version_);
-  if (!scores && !tus && !links) {
+  if (!cache_.import_store(other, version_)) {
     reply.ok = false;
-    reply.error = "no score or TU streams at " + dir +
+    reply.error = "no cache streams at " + dir +
                   " (missing store, or a different pipeline version)";
     return reply.encode();
   }
@@ -342,9 +310,7 @@ Json SweepServer::fold_store(const std::string& dir) {
   // flush() forwards the imported (unpublished) records into the
   // attached store — the fan-in step. Without a store the import still
   // warmed the in-memory layers; 0 records were appended anywhere.
-  reply.score_records = static_cast<long long>(cache_.flush());
-  reply.tu_records = static_cast<long long>(cache_.tus().flush() +
-                                            cache_.links().flush());
+  reply.records = static_cast<long long>(cache_.flush());
   return reply.encode();
 }
 

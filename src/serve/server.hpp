@@ -6,11 +6,12 @@
 // submitting connection as it lands.
 //
 // What makes the daemon worth running instead of batch sweep_worker: all
-// three cache layers live in ONE ScoreCache for the life of the process —
-// score and TU layers attached to the --cache-dir store (warm-replayed on
-// start, flushed on drain), the build-artifact layer hot in memory — so
-// the second submission of a spec the server has already scored performs
-// zero builds and zero TU compiles, across jobs and across clients.
+// cache layers live in ONE ScoreCache for the life of the process — its
+// five journal streams attached to the --cache-dir store (warm-replayed
+// on start, flushed on drain), the build-artifact layer hot in memory —
+// so the second submission of a spec the server has already scored
+// performs zero builds and zero TU compiles, across jobs and across
+// clients.
 //
 // Lifecycle: start() binds and spawns the accept loop; every connection
 // gets a handler thread (blocking frames over one socket, one owner).
@@ -43,7 +44,7 @@ class SweepServer {
     /// Endpoint spelling per support::Endpoint::parse ("unix:/path",
     /// bare path, "tcp:host:port", "tcp:port").
     std::string endpoint;
-    /// cache::Store directory to attach the score + TU layers to; "" runs
+    /// cache::Store directory to attach the cache stack to; "" runs
     /// memory-only (still warm across jobs, just not across restarts).
     std::string cache_dir;
     /// Concurrent units on the pool; 0 = the pool's worker count.

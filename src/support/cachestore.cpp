@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <filesystem>
@@ -92,7 +93,10 @@ std::string frame_record(std::string_view payload) {
   return out;
 }
 
-Store::Store(std::string dir) : dir_(std::move(dir)) {}
+Store::Store(std::string dir) : dir_(std::move(dir)) {
+  static std::atomic<std::uint64_t> next_instance{1};
+  instance_ = next_instance.fetch_add(1, std::memory_order_relaxed);
+}
 
 bool Store::open() { return support::make_dirs(dir_); }
 

@@ -44,7 +44,8 @@
 //
 // The layers (eval::ScoreCache, buildsim::TuCompileCache, LinkCache) sit
 // on top via per-layer codecs: attach(store) replays their streams into
-// memory and flush() appends what they computed since.
+// memory and flush() appends what they computed since. Each layer keeps
+// its store in a Binding (below), which makes a repeated attach a no-op.
 
 #include <cstddef>
 #include <cstdint>
@@ -89,6 +90,11 @@ class Store {
   explicit Store(std::string dir);
 
   const std::string& dir() const noexcept { return dir_; }
+
+  /// Process-unique id of this Store object, never reused — how a
+  /// Binding tells "the store I am bound to" from a new Store that
+  /// happens to occupy the same address.
+  std::uint64_t instance() const noexcept { return instance_; }
 
   /// Create the store directory (mkdir -p). Every other operation
   /// assumes it exists; returns false when it cannot be created.
@@ -174,9 +180,45 @@ class Store {
   StreamStats& stats_locked(const std::string& stream) const;
 
   std::string dir_;
+  std::uint64_t instance_;
   std::size_t compact_threshold_ = 1 << 20;
   mutable std::mutex stats_mu_;
   mutable std::map<std::string, StreamStats> stats_;
+};
+
+/// A cache layer's binding to a Store: the store and pipeline version
+/// its flush() appends under, plus the result of the attach that bound
+/// them. Re-attaching the store a layer is already bound to, under the
+/// same version, replays nothing and returns the first attach's result —
+/// so a caller that attaches a whole cache stack and then one of its
+/// layers never replays a stream twice. reset() (a layer's clear()) makes
+/// the next attach replay again.
+class Binding {
+ public:
+  /// Bind to (`store`, `version`) and run `replay`, unless already bound
+  /// to exactly that pair since the last reset().
+  template <class Replay>
+  bool attach(Store& store, std::uint64_t version, Replay&& replay) {
+    if (instance_ == store.instance() && version_ == version &&
+        warm_.has_value()) {
+      return *warm_;
+    }
+    store_ = &store;
+    instance_ = store.instance();
+    version_ = version;
+    warm_ = replay();
+    return *warm_;
+  }
+  void reset() noexcept { warm_.reset(); }
+
+  Store* store() const noexcept { return store_; }
+  std::uint64_t version() const noexcept { return version_; }
+
+ private:
+  Store* store_ = nullptr;
+  std::uint64_t instance_ = 0;
+  std::uint64_t version_ = 0;
+  std::optional<bool> warm_;
 };
 
 /// One framed record as journal bytes (header + payload + newline) —

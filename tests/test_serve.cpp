@@ -192,14 +192,12 @@ TEST(ServeProtocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(fold_req.dir, "/tmp/worker-store");
   pv::FoldReply fold_in;
   fold_in.ok = true;
-  fold_in.score_records = 9;
-  fold_in.tu_records = 4;
+  fold_in.records = 13;
   pv::FoldReply fold_out;
   ASSERT_TRUE(pv::FoldReply::decode(wire_round_trip(fold_in.encode()),
                                     &fold_out));
   EXPECT_TRUE(fold_out.ok);
-  EXPECT_EQ(fold_out.score_records, 9);
-  EXPECT_EQ(fold_out.tu_records, 4);
+  EXPECT_EQ(fold_out.records, 13);
 
   pv::ShutdownRequest shutdown_req;
   ASSERT_TRUE(pv::ShutdownRequest::decode(
@@ -530,7 +528,8 @@ TEST(ServeServer, WarmResubmitPerformsZeroBuildsAndZeroTuCompiles) {
 }
 
 TEST(ServeServer, StatusReportsQueueJobsAndCacheLayers) {
-  RunningServer rs("serve_status");
+  const std::string store_dir = temp_dir("serve_status_store");
+  RunningServer rs("serve_status", store_dir);
   pv::Client client;
   std::string error;
   ASSERT_TRUE(client.connect(rs.endpoint, &error)) << error;
@@ -547,10 +546,16 @@ TEST(ServeServer, StatusReportsQueueJobsAndCacheLayers) {
   ASSERT_EQ(body["jobs"].size(), 1u);
   EXPECT_EQ(body["jobs"].at(0)["state"].as_string(), "done");
   EXPECT_EQ(body["jobs"].at(0)["completed_units"].as_int(), outcome.units);
-  // All three layers report; the tiny job certainly built something.
+  // Every layer reports; the tiny job certainly built something.
   EXPECT_GT(body["cache"]["builds"]["misses"].as_int(), 0);
   EXPECT_GT(body["cache"]["score"]["entries"].as_int(), 0);
   EXPECT_TRUE(body["cache"]["tu"].is_object());
+  // The cache block is ScoreCache::stats(): the journal blocks live in
+  // their layers, and the store directory is a top-level key.
+  EXPECT_TRUE(body["cache"]["tu"]["journal"].is_object());
+  EXPECT_TRUE(body["cache"]["link"]["journal"].is_object());
+  EXPECT_EQ(body.find("store"), nullptr);
+  EXPECT_EQ(body["cache_dir"].as_string(), store_dir);
 }
 
 TEST(ServeServer, MalformedSubmitGetsErrorReplyAndConnectionSurvives) {

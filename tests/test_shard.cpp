@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +39,50 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << text;
+}
+
+/// One counter of every journal block in `cache.stats()`, keyed
+/// "layer.block": score.journal, tu.journal, tu.plan_journal,
+/// tu.obj_journal and link.journal (only the layers bound to a store).
+std::map<std::string, long long> journal_counts(const pe::ScoreCache& cache,
+                                                const char* counter) {
+  std::map<std::string, long long> out;
+  const ps::Json stats = cache.stats();
+  for (const auto& [layer, block] : stats.members()) {
+    for (const auto& [key, journal] : block.members()) {
+      if (key.ends_with("journal")) {
+        out[layer + "." + key] = journal[counter].as_int();
+      }
+    }
+  }
+  return out;
+}
+
+std::size_t total(const std::map<std::string, long long>& counts) {
+  long long n = 0;
+  for (const auto& [stream, count] : counts) n += count;
+  return static_cast<std::size_t>(n);
+}
+
+/// A few cells of nanoXOR/microXOR, enough for successful links.
+pe::SweepSpec stack_spec() {
+  pe::SweepSpec spec;
+  spec.llms = {"o4-mini"};
+  spec.pairs = {"cuda->omp_offload"};
+  spec.apps = {"nanoXOR", "microXOR"};
+  spec.techniques = {"non_agentic"};
+  spec.samples_per_task = 4;
+  spec.seed = 0x57ac;
+  return spec;
+}
+
+/// Cold-sweep stack_spec() through `cache`, which the caller attached to
+/// a fresh store, and flush it.
+std::size_t cold_sweep_and_flush(pe::ScoreCache& cache) {
+  pe::HarnessConfig config;
+  config.score_cache = &cache;
+  pe::run_sweep(pe::Suite::paper(), stack_spec(), config);
+  return cache.flush();
 }
 
 }  // namespace
@@ -270,7 +315,8 @@ TEST(ScoreCachePersist, VersionMismatchDiscardsStaleStore) {
   pe::ScoreCache cache;
   cache.attach(store);
   cache.score(*app, repo, pareval::apps::Model::Cuda);
-  ASSERT_EQ(cache.flush(), 1u);
+  cache.flush();
+  ASSERT_EQ(journal_counts(cache, "records_appended")["score.journal"], 1);
 
   // Forge an index written by a "different" scoring pipeline.
   const std::string index = dir + "/" + pe::ScoreCache::kStream + ".idx";
@@ -305,7 +351,10 @@ TEST(ScoreCachePersist, JournalStoreRoundTripServesHits) {
   pe::ScoreCache cache;
   EXPECT_FALSE(cache.attach(store));  // nothing journaled yet
   const auto first = cache.score(*app, repo, pareval::apps::Model::Cuda);
-  EXPECT_EQ(cache.flush(), 1u);
+  const std::size_t flushed = cache.flush();
+  const auto appended = journal_counts(cache, "records_appended");
+  EXPECT_EQ(appended.at("score.journal"), 1);
+  EXPECT_EQ(flushed, total(appended));  // flush() counts every stream
   EXPECT_EQ(cache.flush(), 0u);  // idempotent: already published
 
   // A fresh process (separate Store instance) replays the journal and
@@ -355,7 +404,9 @@ TEST(ScoreCachePersist, ImportStoreForwardsRecordsOnFlush) {
     worker_a.attach(store_a);
     worker_a.score(*nano, nano->repos.at(pareval::apps::Model::Cuda),
                    pareval::apps::Model::Cuda);
-    EXPECT_EQ(worker_a.flush(), 1u);
+    worker_a.flush();
+    EXPECT_EQ(journal_counts(worker_a, "records_appended")["score.journal"],
+              1);
 
     pareval::cache::Store store_b(dir_b);
     ASSERT_TRUE(store_b.open());
@@ -363,7 +414,9 @@ TEST(ScoreCachePersist, ImportStoreForwardsRecordsOnFlush) {
     worker_b.attach(store_b);
     worker_b.score(*micro, micro->repos.at(pareval::apps::Model::Cuda),
                    pareval::apps::Model::Cuda);
-    EXPECT_EQ(worker_b.flush(), 1u);
+    worker_b.flush();
+    EXPECT_EQ(journal_counts(worker_b, "records_appended")["score.journal"],
+              1);
   }
 
   {
@@ -375,7 +428,10 @@ TEST(ScoreCachePersist, ImportStoreForwardsRecordsOnFlush) {
     pareval::cache::Store source_b(dir_b);
     EXPECT_TRUE(fold.import_store(source_a));
     EXPECT_TRUE(fold.import_store(source_b));
-    EXPECT_EQ(fold.flush(), 2u);  // imported records forward to target
+    const std::size_t forwarded = fold.flush();  // imports reach target
+    const auto appended = journal_counts(fold, "records_appended");
+    EXPECT_EQ(forwarded, total(appended));
+    EXPECT_EQ(appended.at("score.journal"), 2);
     EXPECT_EQ(fold.flush(), 0u);
   }
 
@@ -448,7 +504,8 @@ TEST(ScoreCachePersist, SuiteAwareVersionInvalidatesAcrossSuites) {
   cache.attach(store, custom_version);
   cache.score(*app, app->repos.at(pareval::apps::Model::Cuda),
               pareval::apps::Model::Cuda);
-  ASSERT_EQ(cache.flush(), 1u);
+  cache.flush();
+  ASSERT_EQ(journal_counts(cache, "records_appended")["score.journal"], 1);
 
   pareval::cache::Store reader(dir);
   pe::ScoreCache paper_reader;
@@ -457,6 +514,137 @@ TEST(ScoreCachePersist, SuiteAwareVersionInvalidatesAcrossSuites) {
   pe::ScoreCache custom_reader;
   EXPECT_TRUE(custom_reader.attach(reader, custom_version));
   EXPECT_EQ(custom_reader.size(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScoreCacheStack, ColdSweepFlushPublishesEveryStream) {
+  const std::string dir = temp_path("stack_cold_store");
+  std::filesystem::remove_all(dir);
+  pareval::cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  pe::ScoreCache cache;
+  EXPECT_FALSE(cache.attach(store));
+  const std::size_t flushed = cold_sweep_and_flush(cache);
+
+  const auto appended = journal_counts(cache, "records_appended");
+  ASSERT_EQ(appended.size(), 5u);
+  for (const auto& [stream, count] : appended) {
+    EXPECT_GT(count, 0) << stream;
+  }
+  EXPECT_EQ(appended.at("link.journal"),
+            static_cast<long long>(cache.links().size()));
+  EXPECT_EQ(flushed, total(appended));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScoreCacheStack, ImportForwardsEveryStream) {
+  const std::string src_dir = temp_path("stack_import_source");
+  const std::string dst_dir = temp_path("stack_import_target");
+  std::filesystem::remove_all(src_dir);
+  std::filesystem::remove_all(dst_dir);
+  std::map<std::string, long long> written;
+  {
+    pareval::cache::Store store(src_dir);
+    ASSERT_TRUE(store.open());
+    pe::ScoreCache worker;
+    worker.attach(store);
+    cold_sweep_and_flush(worker);
+    written = journal_counts(worker, "records_appended");
+  }
+
+  pareval::cache::Store target(dst_dir);
+  ASSERT_TRUE(target.open());
+  pe::ScoreCache fold;
+  EXPECT_FALSE(fold.attach(target));
+  pareval::cache::Store source(src_dir);
+  EXPECT_TRUE(fold.import_store(source));
+  EXPECT_EQ(fold.flush(), total(written));
+  EXPECT_EQ(journal_counts(fold, "records_appended"), written);
+  // Records the target already holds are never forwarded twice.
+  EXPECT_TRUE(fold.import_store(source));
+  EXPECT_EQ(fold.flush(), 0u);
+  std::filesystem::remove_all(src_dir);
+  std::filesystem::remove_all(dst_dir);
+}
+
+TEST(ScoreCacheStack, RepeatedAttachReplaysNothingUntilClear) {
+  const std::string dir = temp_path("stack_reattach_store");
+  std::filesystem::remove_all(dir);
+  {
+    pareval::cache::Store store(dir);
+    ASSERT_TRUE(store.open());
+    pe::ScoreCache writer;
+    writer.attach(store);
+    cold_sweep_and_flush(writer);
+  }
+
+  pareval::cache::Store reader(dir);
+  pe::ScoreCache cache;
+  ASSERT_TRUE(cache.attach(reader));
+  const auto replayed = journal_counts(cache, "records_replayed");
+  ASSERT_EQ(replayed.size(), 5u);
+  for (const auto& [stream, count] : replayed) {
+    EXPECT_GT(count, 0) << stream;
+  }
+  const std::size_t entries = cache.size();
+
+  // The same store again — the whole stack, then each layer on its own,
+  // as a caller that wires the layers by hand does: nothing replays, and
+  // every attach returns its first result.
+  EXPECT_TRUE(cache.attach(reader));
+  EXPECT_TRUE(cache.tus().attach(reader, pe::scoring_pipeline_hash()));
+  EXPECT_TRUE(cache.links().attach(reader, pe::scoring_pipeline_hash()));
+  EXPECT_EQ(journal_counts(cache, "records_replayed"), replayed);
+  EXPECT_EQ(cache.size(), entries);
+
+  // clear() drops what the replay loaded, so the next attach replays.
+  cache.clear();
+  ASSERT_TRUE(cache.attach(reader));
+  EXPECT_EQ(cache.size(), entries);
+  for (const auto& [stream, count] :
+       journal_counts(cache, "records_replayed")) {
+    EXPECT_EQ(count, 2 * replayed.at(stream)) << stream;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScoreCacheStack, StatsKeyOrderAndJournalBlocks) {
+  auto keys = [](const ps::Json& j) {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : j.members()) out.push_back(key);
+    return out;
+  };
+  const std::vector<std::string> top = {"score", "builds", "tu", "link",
+                                        "driver"};
+  pe::ScoreCache cache;
+  const ps::Json detached = cache.stats();
+  EXPECT_EQ(keys(detached), top);
+  EXPECT_TRUE(journal_counts(cache, "records_appended").empty());
+  EXPECT_EQ(keys(detached["score"]),
+            (std::vector<std::string>{"hits", "misses", "entries"}));
+  EXPECT_EQ(keys(detached["driver"]),
+            (std::vector<std::string>{"parses", "links", "tree_fallbacks"}));
+  EXPECT_TRUE(detached["tu"]["dedupe_ratio"].is_number());
+
+  const std::string dir = temp_path("stack_stats_store");
+  std::filesystem::remove_all(dir);
+  pareval::cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  cache.attach(store);
+  const ps::Json attached = cache.stats();
+  EXPECT_EQ(keys(attached), top);
+  EXPECT_EQ(keys(attached["score"]),
+            (std::vector<std::string>{"hits", "misses", "entries",
+                                      "journal"}));
+  EXPECT_EQ(keys(attached["tu"]),
+            (std::vector<std::string>{
+                "hits", "persisted_hits", "obj_hits", "misses", "lookups",
+                "plan_hits", "entries", "plans", "dedupe_ratio", "journal",
+                "plan_journal", "obj_journal"}));
+  EXPECT_EQ(keys(attached["link"]),
+            (std::vector<std::string>{"hits", "persisted_hits", "misses",
+                                      "lookups", "entries", "journal"}));
+  EXPECT_EQ(journal_counts(cache, "records_appended").size(), 5u);
   std::filesystem::remove_all(dir);
 }
 

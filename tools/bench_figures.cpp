@@ -22,11 +22,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "buildsim/linkcache.hpp"
-#include "buildsim/tucache.hpp"
 #include "common.hpp"
 #include "eval/classify.hpp"
-#include "execsim/driver.hpp"
 #include "eval/report.hpp"
 #include "eval/shard.hpp"
 #include "minic/engine.hpp"
@@ -49,10 +46,11 @@ int usage(const char* argv0) {
       "  --cache-dir DIR    warm-start from and publish to a journaled\n"
       "                     cache directory (cache::Store) shared with\n"
       "                     sweep_worker/sweep_merge\n"
-      "  --cache-stats FILE write per-layer cache stats (score / build /\n"
-      "                     TU, plus per-stream journal counters when\n"
-      "                     --cache-dir is given) as JSON with a pinned\n"
-      "                     key order, so CI artifact diffs are stable\n"
+      "  --cache-stats FILE write per-layer cache stats (score / builds /\n"
+      "                     tu / link / driver, plus per-stream journal\n"
+      "                     counters when --cache-dir is given) as JSON\n"
+      "                     with a pinned key order, so CI artifact\n"
+      "                     diffs are stable\n"
       "  --no-score-layer   do not attach/flush the persisted score\n"
       "                     stream: every sample re-scores through a\n"
       "                     real Build stage, so warm-start benches\n"
@@ -163,26 +161,24 @@ int main(int argc, char** argv) {
   std::optional<cache::Store> store;
   if (!cache_dir.empty()) {
     if (!tools::open_cache_dir("bench_figures", cache_dir, store)) return 1;
+    const std::uint64_t version = eval::scoring_pipeline_hash();
     if (no_score_layer) {
       // Build-layer bench mode: the score stream is withheld, so every
       // sample pays a real Build stage against whatever the TU / object /
       // link streams hold.
-      tu_preloaded =
-          cache.tus().attach(*store, eval::scoring_pipeline_hash());
-      cache.links().attach(*store, eval::scoring_pipeline_hash());
-      std::printf("cache dir %s: score stream withheld (--no-score-layer), "
-                  "TU streams %s (%zu TUs, %zu plans), link stream "
-                  "(%zu links)\n",
-                  store->dir().c_str(), tu_preloaded ? "warm" : "cold",
-                  cache.tus().size(), cache.tus().plan_count(),
-                  cache.links().size());
+      tu_preloaded = cache.tus().attach(*store, version);
+      cache.links().attach(*store, version);
     } else {
-      const tools::CacheAttach attached = tools::attach_cache_layers(
-          *store, cache, eval::scoring_pipeline_hash());
-      preloaded = attached.warm_scores;
-      tu_preloaded = attached.warm_tus;
+      preloaded = cache.attach(*store, version);
       loaded_entries = preloaded ? cache.size() : 0;
+      // Already bound by cache.attach: replays nothing, returns the TU
+      // streams' warm flag.
+      tu_preloaded = cache.tus().attach(*store, version);
     }
+    tools::print_cache_banner(
+        *store, cache,
+        no_score_layer ? "withheld (--no-score-layer)"
+                       : (preloaded ? "warm" : "cold"));
   }
 
   // One sweep over the whole spec; every figure below reads from it.
@@ -229,15 +225,8 @@ int main(int argc, char** argv) {
               distinct_logs.size());
 
   if (store.has_value()) {
-    const std::size_t score_records = cache.flush();
-    const std::size_t tu_records = cache.tus().flush();
-    const std::size_t link_records = cache.links().flush();
-    std::printf("flushed %zu score + %zu TU/plan/object + %zu link "
-                "records to %s (score journal gen %llu / %zu bytes)\n",
-                score_records, tu_records, link_records, cache_dir.c_str(),
-                static_cast<unsigned long long>(
-                    store->stats(eval::ScoreCache::kStream).generation),
-                store->journal_bytes(eval::ScoreCache::kStream));
+    std::printf("flushed %zu records to %s\n", cache.flush(),
+                cache_dir.c_str());
   }
 
   Json root = Json::object();
@@ -252,97 +241,19 @@ int main(int argc, char** argv) {
   context.set("cache_preloaded", preloaded);
   context.set("cache_entries_loaded",
               static_cast<long long>(loaded_entries));
-  context.set("cache_hits", static_cast<long long>(cache.hits()));
-  context.set("cache_misses", static_cast<long long>(cache.misses()));
-  // Middle (build-artifact) layer: misses == builds actually performed, so
-  // the artifact uploaded by the CI bench job records how much build work
-  // the cache layers elided.
-  context.set("build_cache_hits",
-              static_cast<long long>(cache.builds().hits()));
-  context.set("build_cache_misses",
-              static_cast<long long>(cache.builds().misses()));
-  // Lower (TU compile) layer: misses == TU compiles actually performed;
-  // the dedupe ratio is the fraction of TU lookups a compile was elided
-  // for (in-memory sharing across builds + persisted failed-TU hits).
   context.set("tu_cache_preloaded", tu_preloaded);
-  context.set("tu_cache_hits", static_cast<long long>(cache.tus().hits()));
-  context.set("tu_cache_persisted_hits",
-              static_cast<long long>(cache.tus().persisted_hits()));
-  context.set("tu_cache_misses",
-              static_cast<long long>(cache.tus().misses()));
-  context.set("tu_cache_lookups",
-              static_cast<long long>(cache.tus().lookups()));
-  context.set("tu_plan_hits",
-              static_cast<long long>(cache.tus().plan_hits()));
-  const std::size_t tu_lookups = cache.tus().lookups();
-  const double tu_dedupe_ratio =
-      tu_lookups == 0
-          ? 0.0
-          : static_cast<double>(tu_lookups - cache.tus().misses()) /
-                static_cast<double>(tu_lookups);
-  context.set("tu_dedupe_ratio", tu_dedupe_ratio);
   context.set("score_layer", !no_score_layer);
   context.set("object_layer", !no_object_layer);
-  context.set("tu_obj_hits",
-              static_cast<long long>(cache.tus().obj_hits()));
-  context.set("link_cache_hits",
-              static_cast<long long>(cache.links().hits()));
-  context.set("link_cache_misses",
-              static_cast<long long>(cache.links().misses()));
   root.set("context", std::move(context));
 
   if (!cache_stats_path.empty()) {
-    // One stats object per layer, keys in a pinned, documented order (the
-    // Json codec preserves insertion order), so the CACHE_stats.json CI
-    // artifact diffs cleanly run over run instead of shifting with
-    // whatever map-iteration order a JSON post-processor happens to use.
-    Json stats = Json::object();
+    // The whole cache stack's stats() — the same object sweep_server's
+    // status reports, keys in a pinned order so the CACHE_stats.json CI
+    // artifact diffs cleanly run over run — plus this run's keys.
+    Json stats = cache.stats();
     stats.set("cache_dir", cache_dir);
     stats.set("cache_preloaded", preloaded);
     stats.set("tu_cache_preloaded", tu_preloaded);
-    // Per-layer blocks come from the layers' own stats() (the uniform
-    // persistence surface), so this artifact and any future sweep_server
-    // endpoint report identical shapes. With --cache-dir each layer also
-    // carries its journal counters (generation, appends, torn/CRC drops,
-    // compactions, bytes) from the attached store.
-    Json score_layer = cache.stats();
-    if (store.has_value()) {
-      score_layer.set("journal",
-                      store->stats_json(eval::ScoreCache::kStream));
-    }
-    stats.set("score", std::move(score_layer));
-    stats.set("build", cache.builds().stats());
-    Json tu_layer = cache.tus().stats();
-    tu_layer.set("dedupe_ratio", tu_dedupe_ratio);
-    if (store.has_value()) {
-      tu_layer.set("journal",
-                   store->stats_json(buildsim::TuCompileCache::kTuStream));
-      tu_layer.set(
-          "plan_journal",
-          store->stats_json(buildsim::TuCompileCache::kPlanStream));
-      tu_layer.set(
-          "obj_journal",
-          store->stats_json(buildsim::TuCompileCache::kObjStream));
-    }
-    stats.set("tu", std::move(tu_layer));
-    Json link_layer = cache.links().stats();
-    if (store.has_value()) {
-      link_layer.set("journal",
-                     store->stats_json(buildsim::LinkCache::kStream));
-    }
-    stats.set("link", std::move(link_layer));
-    // Process-wide ground truth for the warm-start gates: how many
-    // sources were actually parsed and programs actually linked (the
-    // cache layers above elide these), plus the wall time spent inside
-    // the Build stage — the object-warm CI gate's numerator.
-    const execsim::DriverCounters drv = execsim::driver_counters();
-    Json driver = Json::object();
-    driver.set("parses", static_cast<long long>(drv.parses));
-    driver.set("links", static_cast<long long>(drv.links));
-    // Bytecode coverage telemetry: tree-walk fallback instructions VM
-    // runs executed (0 = everything the sweep ran was fully lowered).
-    driver.set("tree_fallbacks", static_cast<long long>(drv.tree_fallbacks));
-    stats.set("driver", std::move(driver));
     stats.set("build_wall_ms",
               static_cast<double>(eval::build_stage_nanos()) / 1e6);
     stats.set("wall_ms", sweep_ms);

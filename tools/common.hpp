@@ -1,9 +1,9 @@
 #pragma once
-// Shared flag-parsing and cache-wiring helpers for the CLI tools
+// Shared flag-parsing and --cache-dir helpers for the CLI tools
 // (sweep_worker, sweep_merge, bench_figures, sweep_server, sweep_client).
 // Each tool used to hand-roll these — strict int parsing, the --engine
-// spelling, --spec load + validation, --cache-dir open/attach and its
-// banner — with drift between the copies. Header-only because the build
+// spelling, --spec load + validation, --cache-dir open and its banner —
+// with drift between the copies. Header-only because the build
 // globs every tools/*.cpp into its own executable.
 
 #include <cstdio>
@@ -78,34 +78,17 @@ inline bool open_cache_dir(const char* tool, const std::string& dir,
   return true;
 }
 
-/// Warm flags of one attach_cache_layers call.
-struct CacheAttach {
-  bool warm_scores = false;
-  bool warm_tus = false;
-  bool warm_links = false;
-};
-
-/// Attach `cache`'s score + TU + link layers to a --cache-dir store and
-/// print the uniform warm/cold banner every tool used to format by hand.
-/// (The TU attach also replays the obj1 warm-object stream; warm_tus
-/// covers both.)
-inline CacheAttach attach_cache_layers(cache::Store& store,
-                                       eval::ScoreCache& cache,
-                                       std::uint64_t version,
-                                       bool banner = true) {
-  CacheAttach out;
-  out.warm_scores = cache.attach(store, version);
-  out.warm_tus = cache.tus().attach(store, version);
-  out.warm_links = cache.links().attach(store, version);
-  if (banner) {
-    std::printf("cache dir %s: score stream %s (%zu entries), TU streams "
-                "%s (%zu TUs, %zu plans), link stream %s (%zu links)\n",
-                store.dir().c_str(), out.warm_scores ? "warm" : "cold",
-                cache.size(), out.warm_tus ? "warm" : "cold",
-                cache.tus().size(), cache.tus().plan_count(),
-                out.warm_links ? "warm" : "cold", cache.links().size());
-  }
-  return out;
+/// The --cache-dir banner: what attaching `cache` to `store` loaded.
+/// `score_stream` says how the score stream went ("warm", "cold", or why
+/// it was withheld).
+inline void print_cache_banner(const cache::Store& store,
+                               const eval::ScoreCache& cache,
+                               const char* score_stream) {
+  std::printf("cache dir %s: score stream %s (%zu entries); %zu TUs, %zu "
+              "plans, %zu links loaded\n",
+              store.dir().c_str(), score_stream, cache.size(),
+              cache.tus().size(), cache.tus().plan_count(),
+              cache.links().size());
 }
 
 /// Thread-safe completed/total meter for streamed sweeps, designed to

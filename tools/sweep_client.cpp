@@ -138,9 +138,8 @@ int main(int argc, char** argv) {
                    reply.error.c_str());
       return 1;
     }
-    std::printf("folded %s into the server (%lld score + %lld TU/plan "
-                "records published)\n",
-                verb_arg.c_str(), reply.score_records, reply.tu_records);
+    std::printf("folded %s into the server (%lld records published)\n",
+                verb_arg.c_str(), reply.records);
     return 0;
   }
   if (verb == "shutdown") {

@@ -15,14 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "buildsim/linkcache.hpp"
-#include "buildsim/tucache.hpp"
 #include "common.hpp"
 #include "execsim/driver.hpp"
 #include "eval/report.hpp"
 #include "eval/shard.hpp"
 #include "minic/engine.hpp"
-#include "minic/objcodec.hpp"
 #include "support/cachestore.hpp"
 #include "support/strings.hpp"
 
@@ -193,14 +190,15 @@ int main(int argc, char** argv) {
     // score-cold/TU-warm-store (only the TU streams, object layer off:
     // persisted failed plans/TUs reconstruct and successful outcome-only
     // entries recompile and upgrade in place during real Build stages),
-    // journal-warm (every stream replayed; Build skipped), and
-    // object-warm (only the TU-object + link streams replayed — every
-    // sample re-scores, but the warm-object store must satisfy every
-    // Build with zero parses and zero links) — plus an uncached run under
-    // the bytecode-VM engine. Shards and all seven runs must be
-    // bit-identical — the CI gate that proves distribution, every cache
-    // layer (live, journaled, or serialized objects), and the alternate
-    // execution engine are all pure memoization / pure reimplementation.
+    // journal-warm (all five streams replayed, links included; Build
+    // skipped), and object-warm (only the TU-object + link streams
+    // replayed — every sample re-scores, but the warm-object store must
+    // satisfy every Build with zero parses and zero links) — plus an
+    // uncached run under the bytecode-VM engine. Shards and all seven
+    // runs must be bit-identical — the CI gate that proves distribution,
+    // every cache layer (live, journaled, or serialized objects), and the
+    // alternate execution engine are all pure memoization / pure
+    // reimplementation.
     eval::HarnessConfig uncached;
     uncached.use_score_cache = false;
     const auto reference = eval::run_sweep(suite, spec, uncached);
@@ -239,7 +237,7 @@ int main(int argc, char** argv) {
         eval::scoring_pipeline_hash(suite);
 
     // The store-backed references: flush the TU-cached run's layers into
-    // a throwaway cache::Store, compact every stream (so each replay
+    // a throwaway cache::Store, compacting every stream (so each replay
     // crosses a generation bump), and replay it into fresh caches through
     // separate Store instances.
     {
@@ -249,25 +247,22 @@ int main(int argc, char** argv) {
       cache::Store writer(store_dir);
       bool store_built = writer.open();
       if (store_built) {
+        // Threshold 0: each layer's flush compacts every stream it
+        // appended to. A stream that got records but no compaction fails
+        // the build.
+        writer.set_compact_threshold(0);
         tu_cached.attach(writer, pipeline_version);
-        tu_cached.tus().attach(writer, pipeline_version);
-        tu_cached.links().attach(writer, pipeline_version);
         tu_cached.flush();
-        tu_cached.tus().flush();
-        tu_cached.links().flush();
-        store_built =
-            writer.compact(eval::ScoreCache::kStream, pipeline_version) &&
-            writer.compact(buildsim::TuCompileCache::kTuStream,
-                           pipeline_version) &&
-            writer.compact(buildsim::TuCompileCache::kPlanStream,
-                           pipeline_version) &&
-            // The object streams version-fold the codec format version,
-            // so a codec bump cold-starts them without touching the
-            // legacy streams.
-            writer.compact(buildsim::TuCompileCache::kObjStream,
-                           minic::obj_stream_version(pipeline_version)) &&
-            writer.compact(buildsim::LinkCache::kStream,
-                           minic::obj_stream_version(pipeline_version));
+        const Json stats = tu_cached.stats();
+        for (const auto& [layer, block] : stats.members()) {
+          for (const auto& [key, journal] : block.members()) {
+            if (key.ends_with("journal") &&
+                journal["records_appended"].as_int() > 0 &&
+                journal["compactions"].as_int() == 0) {
+              store_built = false;
+            }
+          }
+        }
       }
       if (!store_built) {
         std::fprintf(stderr,
@@ -304,8 +299,7 @@ int main(int argc, char** argv) {
 
         cache::Store reader(store_dir);
         eval::ScoreCache journal_warm;
-        if (!journal_warm.attach(reader, pipeline_version) ||
-            !journal_warm.tus().attach(reader, pipeline_version)) {
+        if (!journal_warm.attach(reader, pipeline_version)) {
           std::fprintf(stderr,
                        "sweep_merge: could not replay the journal-warm "
                        "verify store\n");
@@ -321,13 +315,13 @@ int main(int argc, char** argv) {
           std::printf(
               "determinism (journal-warm-store vs uncached): %s (score "
               "layer %zu hits / %zu misses; Build stage %s: %zu builds, "
-              "%zu TU compiles; score stream gen %llu)\n",
+              "%zu TU compiles; score stream gen %lld)\n",
               journal_identical ? "IDENTICAL" : "MISMATCH",
               journal_warm.hits(), journal_warm.misses(),
               build_skipped ? "SKIPPED" : "NOT SKIPPED",
               journal_warm.builds().misses(), journal_warm.tus().misses(),
-              static_cast<unsigned long long>(
-                  reader.stats(eval::ScoreCache::kStream).generation));
+              journal_warm.stats()["score"]["journal"]["generation"]
+                  .as_int());
           if (!journal_identical || !build_skipped) ++mismatches;
         }
 
@@ -374,27 +368,23 @@ int main(int argc, char** argv) {
     }
 
     // Store-warm reference: when this merge verifies a shared cache
-    // directory the workers published into, replay it into a fresh cache
-    // and re-run — the end-to-end proof that N concurrent writers plus a
-    // journal-warm start stay bit-identical to the single-process
-    // uncached sweep.
+    // directory the workers published into, replay all five of its
+    // streams into a fresh cache and re-run — the end-to-end proof that
+    // N concurrent writers plus a journal-warm start stay bit-identical
+    // to the single-process uncached sweep.
     if (!cache_dir.empty()) {
       cache::Store shared(cache_dir);
       eval::ScoreCache store_warm;
       const bool warm_scores = store_warm.attach(shared, pipeline_version);
-      const bool warm_tus =
-          store_warm.tus().attach(shared, pipeline_version);
       cached.score_cache = &store_warm;
       const auto store_reference = eval::run_sweep(suite, spec, cached);
       const bool store_identical = store_reference == reference;
       std::printf(
           "determinism (store-warm %s vs uncached): %s (score stream %s "
-          "with %zu entries, TU streams %s; score layer %zu hits / %zu "
-          "misses)\n",
+          "with %zu entries; score layer %zu hits / %zu misses)\n",
           cache_dir.c_str(), store_identical ? "IDENTICAL" : "MISMATCH",
           warm_scores ? "warm" : "cold", store_warm.size(),
-          warm_tus ? "warm" : "cold", store_warm.hits(),
-          store_warm.misses());
+          store_warm.hits(), store_warm.misses());
       if (!store_identical) ++mismatches;
     }
 
@@ -464,14 +454,10 @@ int main(int argc, char** argv) {
     }
     eval::ScoreCache fold;
     fold.attach(target, pipeline_version);
-    fold.tus().attach(target, pipeline_version);
     std::size_t imported = 0;
     for (const std::string& dir : import_dirs) {
       cache::Store source(dir);
-      const bool scores_ok = fold.import_store(source, pipeline_version);
-      const bool tus_ok =
-          fold.tus().import_store(source, pipeline_version);
-      if (scores_ok || tus_ok) {
+      if (fold.import_store(source, pipeline_version)) {
         ++imported;
       } else {
         std::fprintf(stderr,
@@ -480,12 +466,13 @@ int main(int argc, char** argv) {
                      dir.c_str());
       }
     }
-    const std::size_t appended = fold.flush() + fold.tus().flush();
+    const std::size_t appended = fold.flush();
     std::printf(
         "folded %zu/%zu worker cache dirs into %s (%zu new records; %zu "
-        "scores, %zu TUs, %zu plans total)\n",
+        "scores, %zu TUs, %zu plans, %zu links total)\n",
         imported, import_dirs.size(), cache_dir.c_str(), appended,
-        fold.size(), fold.tus().size(), fold.tus().plan_count());
+        fold.size(), fold.tus().size(), fold.tus().plan_count(),
+        fold.links().size());
   }
 
   if (mismatches > 0) {

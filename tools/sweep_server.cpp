@@ -1,6 +1,6 @@
 // sweep_server: the resident evaluation daemon. Binds a Unix-domain or
-// TCP endpoint, keeps all three cache layers of one ScoreCache warm in
-// memory (score + TU layers attached to --cache-dir, build artifacts
+// TCP endpoint, keeps every cache layer of one ScoreCache warm in memory
+// (its five journal streams attached to --cache-dir, build artifacts
 // process-local), and serves sweep jobs submitted by sweep_client —
 // scheduling their (cell x sample) units fair-share across concurrent
 // jobs on the global work-stealing pool and streaming every completed
@@ -29,7 +29,7 @@ int usage(const char* argv0) {
       "  --listen EP        endpoint to serve: 'unix:/path/to.sock' (or a\n"
       "                     bare path), 'tcp:host:port', or 'tcp:port'\n"
       "                     (127.0.0.1)\n"
-      "  --cache-dir DIR    attach the score + TU cache layers to a\n"
+      "  --cache-dir DIR    attach the cache layers to a\n"
       "                     journaled cache directory (cache::Store):\n"
       "                     warm-replayed on start, flushed on drain.\n"
       "                     Without it the caches are memory-only (still\n"

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "buildsim/tucache.hpp"
 #include "common.hpp"
 #include "eval/shard.hpp"
 #include "support/cachestore.hpp"
@@ -144,10 +143,11 @@ int main(int argc, char** argv) {
   }
 
   std::optional<cache::Store> store;
+  eval::ScoreCache& cache = eval::ScoreCache::global();
   if (!cache_dir.empty()) {
     if (!tools::open_cache_dir("sweep_worker", cache_dir, store)) return 1;
-    tools::attach_cache_layers(*store, eval::ScoreCache::global(),
-                               eval::scoring_pipeline_hash());
+    const bool warm = cache.attach(*store, eval::scoring_pipeline_hash());
+    tools::print_cache_banner(*store, cache, warm ? "warm" : "cold");
   }
 
   std::printf("shard %d/%d of spec %s (%zu cells, N=%d, engine %s)...\n",
@@ -172,26 +172,17 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  eval::ScoreCache& cache = eval::ScoreCache::global();
   if (store.has_value()) {
-    const std::size_t score_records = cache.flush();
-    const std::size_t tu_records = cache.tus().flush();
-    const auto score_stats = store->stats(eval::ScoreCache::kStream);
-    const auto tu_stats =
-        store->stats(buildsim::TuCompileCache::kTuStream);
+    const std::size_t records = cache.flush();
     std::printf(
-        "flushed %zu score + %zu TU/plan records to %s (score journal "
-        "gen %llu / %zu bytes, TU journal gen %llu / %zu bytes; score "
-        "layer %zu hits / %zu misses, build layer %zu hits / %zu misses, "
-        "TU layer %zu+%zu hits / %zu misses this run)\n",
-        score_records, tu_records, cache_dir.c_str(),
-        static_cast<unsigned long long>(score_stats.generation),
-        score_stats.journal_bytes,
-        static_cast<unsigned long long>(tu_stats.generation),
-        tu_stats.journal_bytes, cache.hits(), cache.misses(),
-        cache.builds().hits(), cache.builds().misses(),
-        cache.tus().hits(), cache.tus().persisted_hits(),
-        cache.tus().misses());
+        "flushed %zu records to %s (score layer %zu hits / %zu misses, "
+        "build layer %zu hits / %zu misses, TU layer %zu+%zu hits / %zu "
+        "misses, link layer %zu+%zu hits / %zu misses this run)\n",
+        records, cache_dir.c_str(), cache.hits(), cache.misses(),
+        cache.builds().hits(), cache.builds().misses(), cache.tus().hits(),
+        cache.tus().persisted_hits(), cache.tus().misses(),
+        cache.links().hits(), cache.links().persisted_hits(),
+        cache.links().misses());
   }
   return 0;
 }
