@@ -25,10 +25,13 @@ int main() {
   }
 
   // --- A + C need failure logs: one quick sweep of the first pair ------
+  eval::SweepSpec spec = eval::pair_spec(llm::all_pairs()[0]);
+  spec.samples_per_task = 10;
+  eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 10;
+  cfg.score_cache = &cache;
   std::printf("\nrunning a reduced sweep (N=10, CUDA->OpenMP Offload)...\n");
-  const auto tasks = eval::run_pair_sweep(llm::all_pairs()[0], cfg);
+  const auto tasks = eval::run_sweep(eval::Suite::paper(), spec, cfg);
 
   std::printf("\n== Ablation: DBSCAN eps vs raw cluster count ==\n");
   for (const double eps : {0.15, 0.35, 0.7, 1.5}) {

@@ -367,9 +367,17 @@ BENCHMARK(BM_JsonParseObjRecord);
 
 namespace {
 
+constexpr int kSamples = 10;  // N of the timed pair sweep
+
+std::vector<eval::TaskResult> pair_sweep(const eval::HarnessConfig& config) {
+  eval::SweepSpec spec = eval::pair_spec(llm::all_pairs()[0]);
+  spec.samples_per_task = kSamples;
+  return eval::run_sweep(eval::Suite::paper(), spec, config);
+}
+
 double time_sweep_ms(const eval::HarnessConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto tasks = eval::run_pair_sweep(llm::all_pairs()[0], config);
+  const auto tasks = pair_sweep(config);
   const auto t1 = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(tasks.size());
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -377,33 +385,29 @@ double time_sweep_ms(const eval::HarnessConfig& config) {
 
 int run_sweep_timing_section() {
   eval::HarnessConfig serial;
-  serial.samples_per_task = 10;
   serial.threads = 1;
-  serial.use_score_cache = false;
   eval::HarnessConfig parallel = serial;
   parallel.threads = 0;  // global pool, hardware_threads() workers
+  eval::ScoreCache cache;
   eval::HarnessConfig cached = parallel;
-  cached.use_score_cache = true;
+  cached.score_cache = &cache;
 
   const unsigned threads = support::hardware_threads();
   std::printf("\n-- sweep orchestrator: serial vs parallel "
               "(N=%d, %u hardware threads) --\n",
-              serial.samples_per_task, threads);
+              kSamples, threads);
   const double serial_ms = time_sweep_ms(serial);
   const double parallel_ms = time_sweep_ms(parallel);
-  eval::ScoreCache::global().clear();
   const double warmup_ms = time_sweep_ms(cached);   // fills the cache
   const double cached_ms = time_sweep_ms(cached);   // hits it
   const double speedup = parallel_ms > 0 ? serial_ms / parallel_ms : 0.0;
   std::printf("serial   %10.1f ms\nparallel %10.1f ms  (speedup %.2fx)\n"
               "cached   %10.1f ms  (%zu hits / %zu misses)\n",
-              serial_ms, parallel_ms, speedup, cached_ms,
-              eval::ScoreCache::global().hits(),
-              eval::ScoreCache::global().misses());
+              serial_ms, parallel_ms, speedup, cached_ms, cache.hits(),
+              cache.misses());
 
   // Verify the acceptance invariant while we have both runs' configs.
-  const bool identical = eval::run_pair_sweep(llm::all_pairs()[0], serial) ==
-                         eval::run_pair_sweep(llm::all_pairs()[0], parallel);
+  const bool identical = pair_sweep(serial) == pair_sweep(parallel);
   std::printf("determinism (1 thread vs pool): %s\n",
               identical ? "IDENTICAL" : "MISMATCH");
 
@@ -423,7 +427,7 @@ int run_sweep_timing_section() {
         "\"time_unit\": \"ms\", \"speedup\": %.3f}\n"
         "  ]\n"
         "}\n",
-        threads, serial.samples_per_task, identical ? "true" : "false",
+        threads, kSamples, identical ? "true" : "false",
         warmup_ms, serial_ms, parallel_ms, speedup, cached_ms,
         cached_ms > 0 ? serial_ms / cached_ms : 0.0);
     std::fclose(json);

@@ -8,10 +8,13 @@
 using namespace pareval;
 
 int main() {
+  eval::SweepSpec spec = eval::pair_spec(llm::all_pairs()[0]);
+  spec.samples_per_task = 8;
+  eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 8;
+  cfg.score_cache = &cache;
   std::printf("running a reduced CUDA->OpenMP Offload sweep (N=8)...\n");
-  const auto tasks = eval::run_pair_sweep(llm::all_pairs()[0], cfg);
+  const auto tasks = eval::run_sweep(eval::Suite::paper(), spec, cfg);
   const auto result = eval::classify_failures(tasks);
   std::printf("collected %zu failure logs; DBSCAN found %d raw clusters\n",
               result.logs.size(), result.raw_clusters);

@@ -31,9 +31,10 @@ int main() {
               "injected defect(s)\n",
               profile->name.c_str(), attempt.input_tokens,
               attempt.output_tokens, attempt.defects.size());
-  const auto score = eval::score_repo(*app, attempt.repo, pair.to);
+  const auto score =
+      eval::ScoringPipeline().score(*app, attempt.repo, pair.to);
   std::printf("build: %s, validation: %s\n", score.built ? "ok" : "FAILED",
               score.passed ? "ok" : "FAILED");
-  if (!score.passed) std::printf("log:\n%s\n", score.log.c_str());
+  if (!score.passed) std::printf("log:\n%s\n", score.flat_log().c_str());
   return 0;
 }

@@ -127,10 +127,10 @@ class TuCompileCache {
 
   /// Record a finished build's outcome and compile-plan digest (the
   /// primary keys of the TU compiles its commands performed, in order).
-  /// The digest is provenance: it is persisted but not yet consumed by
-  /// any lookup — it documents which TU entries a plan depends on and is
-  /// the hook for the ROADMAP follow-on that would persist successful
-  /// compiles (AST serialization) keyed by exactly these entries.
+  /// The digest is provenance: it is persisted but no lookup consumes it
+  /// — it documents which TU entries a plan depends on. Successful
+  /// compiles persist on their own, as serialized objects in the "obj1"
+  /// stream keyed per TU (see kObjStream).
   void record_plan(std::uint64_t plan_key, const BuildResult& result,
                    std::vector<std::uint64_t> tu_keys);
 

@@ -1,16 +1,11 @@
 #include "eval/harness.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <future>
-#include <limits>
-#include <memory>
 #include <utility>
 
 #include "buildsim/builder.hpp"
 #include "execsim/driver.hpp"
 #include "support/json.hpp"
-#include "support/par.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -22,7 +17,6 @@ using llm::LlmProfile;
 using llm::Pair;
 using llm::Technique;
 using support::Json;
-using support::ThreadPool;
 
 double TaskResult::build1_overall() const {
   return samples > 0 ? static_cast<double>(built_overall) / samples : 0.0;
@@ -39,12 +33,6 @@ double TaskResult::pass1_codeonly() const {
 
 std::string SampleOutcome::failure_log() const {
   return concat_stage_logs(stages);
-}
-
-ScoreResult score_repo(const AppSpec& app, const vfs::Repo& repo,
-                       apps::Model target) {
-  const StagedScore staged = ScoringPipeline().score(app, repo, target);
-  return ScoreResult{staged.built, staged.passed, staged.flat_log()};
 }
 
 namespace {
@@ -82,7 +70,7 @@ void fold_app_scoring_inputs(std::uint64_t& h, const AppSpec& app) {
 }  // namespace
 
 std::uint64_t scoring_pipeline_hash(const Suite& suite) {
-  // Bump the tag whenever score_repo / buildsim / execsim semantics change
+  // Bump the tag whenever scoring / buildsim / execsim semantics change
   // in a way the embedded inputs below cannot witness. (Scores are
   // unchanged by the staged-pipeline refactor, so the tag predates it;
   // the persisted cache *format* is versioned separately.)
@@ -236,11 +224,6 @@ Json ScoreCache::stats() const {
   return j;
 }
 
-ScoreCache& ScoreCache::global() {
-  static ScoreCache cache;
-  return cache;
-}
-
 namespace {
 
 /// Code-only mode: swap the generated build system for the ground truth
@@ -259,19 +242,13 @@ vfs::Repo with_ground_truth_build(const AppSpec& app, const vfs::Repo& repo,
 }
 
 /// Apply the log policy to a failed attempt's stage outcomes before they
-/// land in a SampleOutcome: strip the log slices entirely when keep_logs
-/// is off (the structured verdicts/details survive), or truncate each
-/// slice to max_log_bytes when a bound is set.
+/// land in a SampleOutcome: strip the log slices when keep_logs is off
+/// (the structured verdicts/details survive).
 std::vector<StageOutcome> outcome_stages(const StagedScore& score,
                                          const HarnessConfig& config) {
   std::vector<StageOutcome> stages = score.stages;
-  for (StageOutcome& s : stages) {
-    if (!config.keep_logs) {
-      s.log.clear();
-    } else if (config.max_log_bytes > 0 &&
-               s.log.size() > config.max_log_bytes) {
-      s.log.resize(config.max_log_bytes);
-    }
+  if (!config.keep_logs) {
+    for (StageOutcome& s : stages) s.log.clear();
   }
   return stages;
 }
@@ -279,7 +256,8 @@ std::vector<StageOutcome> outcome_stages(const StagedScore& score,
 }  // namespace
 
 SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
-                          const HarnessConfig& config, int sample_index) {
+                          const HarnessConfig& config, std::uint64_t seed,
+                          int sample_index) {
   const AppSpec& app = *cell.app;
   const LlmProfile& profile = *cell.profile;
   const Technique technique = cell.technique;
@@ -291,7 +269,7 @@ SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
                                llm::technique_name(technique) + "|" +
                                llm::pair_name(pair) + "|" + app.name;
   const std::uint64_t sample_seed =
-      config.seed ^
+      seed ^
       support::stable_hash(cell_key + "#" + std::to_string(sample_index));
 
   SampleRun run;
@@ -313,15 +291,10 @@ SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
   run.outcome.tokens = agents::total_tokens(gen);
   run.outcome.defects = std::move(gen.defects);
 
-  // Injected cache first; the global instance only as the opt-out-able
-  // process-wide default. Hit or miss, the scores are identical.
-  ScoreCache* cache = config.score_cache != nullptr
-                          ? config.score_cache
-                          : (config.use_score_cache ? &ScoreCache::global()
-                                                    : nullptr);
+  // Hit or miss, the scores are identical.
   auto score = [&](const vfs::Repo& repo) {
-    if (cache != nullptr) {
-      return cache->score(app, repo, pair.to, config.engine);
+    if (config.score_cache != nullptr) {
+      return config.score_cache->score(app, repo, pair.to, config.engine);
     }
     ScoringPipeline pipeline;
     pipeline.set_engine(config.engine);
@@ -343,14 +316,6 @@ SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
   return run;
 }
 
-SampleRun run_cell_sample(const AppSpec& app, Technique technique,
-                          const LlmProfile& profile, const Pair& pair,
-                          const HarnessConfig& config, int sample_index) {
-  return run_cell_sample(Suite::paper(),
-                         SweepCell{&app, technique, &profile, pair}, config,
-                         sample_index);
-}
-
 TaskResult aggregate_samples(const AppSpec& app, Technique technique,
                              const LlmProfile& profile, const Pair& pair,
                              std::vector<SampleRun> runs) {
@@ -361,7 +326,7 @@ TaskResult aggregate_samples(const AppSpec& app, Technique technique,
   result.app = app.name;
 
   // Aggregate in sample-index order; the first non-generated sample aborts
-  // the cell exactly as the serial early-exit does.
+  // the cell.
   long long token_sum = 0;
   for (auto& run : runs) {
     if (!run.generated) {
@@ -382,65 +347,6 @@ TaskResult aggregate_samples(const AppSpec& app, Technique technique,
                           ? static_cast<double>(token_sum) / result.samples
                           : 0.0;
   return result;
-}
-
-TaskResult run_task(const Suite& suite, const SweepCell& cell,
-                    const HarnessConfig& config, int cell_index) {
-  const auto priority = config.high_priority
-                            ? support::TaskPriority::High
-                            : support::TaskPriority::Normal;
-  std::vector<SampleRun> runs;
-  runs.reserve(config.samples_per_task);
-  if (config.threads == 1) {
-    for (int i = 0; i < config.samples_per_task; ++i) {
-      runs.push_back(run_cell_sample(suite, cell, config, i));
-      if (config.on_sample) config.on_sample({cell_index, i, runs.back()});
-      if (!runs.back().generated) break;  // aborted cell: stop sampling
-    }
-  } else {
-    // Every sample is an independent pool task. run_task itself often runs
-    // as a pool task (run_sweep submits cells), so awaiting helps execute
-    // other pending samples instead of blocking a worker.
-    //
-    // Aggregation stops at the lowest non-generated index, so samples past
-    // it are dead work; the shared floor lets late-scheduled samples skip
-    // themselves. Determinism holds because only a fully-run abort lowers
-    // the floor, so every index up to the first real abort still runs.
-    ThreadPool& pool = ThreadPool::global();
-    auto abort_floor = std::make_shared<std::atomic<int>>(
-        std::numeric_limits<int>::max());
-    std::vector<std::future<SampleRun>> futures;
-    futures.reserve(config.samples_per_task);
-    for (int i = 0; i < config.samples_per_task; ++i) {
-      futures.push_back(pool.submit(
-          priority, [&suite, cell, config, abort_floor, cell_index, i] {
-            if (i > abort_floor->load(std::memory_order_acquire)) {
-              return SampleRun{};  // past an abort; aggregation never gets
-                                   // here (and on_sample never sees a
-                                   // sample that did not run)
-            }
-            SampleRun run = run_cell_sample(suite, cell, config, i);
-            if (!run.generated) {
-              int cur = abort_floor->load(std::memory_order_relaxed);
-              while (i < cur && !abort_floor->compare_exchange_weak(
-                                    cur, i, std::memory_order_release)) {
-              }
-            }
-            if (config.on_sample) config.on_sample({cell_index, i, run});
-            return run;
-          }));
-    }
-    for (auto& f : futures) runs.push_back(pool.await(f));
-  }
-  return aggregate_samples(*cell.app, cell.technique, *cell.profile,
-                           cell.pair, std::move(runs));
-}
-
-TaskResult run_task(const AppSpec& app, Technique technique,
-                    const LlmProfile& profile, const Pair& pair,
-                    const HarnessConfig& config) {
-  return run_task(Suite::paper(), SweepCell{&app, technique, &profile, pair},
-                  config);
 }
 
 std::vector<SweepCell> sweep_cells(const Suite& suite,
@@ -472,54 +378,10 @@ std::vector<SweepCell> sweep_cells(const Suite& suite,
   return cells;
 }
 
-SweepSpec pair_spec(const Pair& pair, const HarnessConfig& config) {
+SweepSpec pair_spec(const Pair& pair) {
   SweepSpec spec = SweepSpec::paper();
   spec.pairs = {llm::pair_key(pair)};
-  spec.samples_per_task = config.samples_per_task;
-  spec.seed = config.seed;
   return spec;
-}
-
-std::vector<SweepCell> sweep_cells(const Pair& pair) {
-  return sweep_cells(Suite::paper(), pair_spec(pair));
-}
-
-std::vector<TaskResult> run_sweep(const Suite& suite, const SweepSpec& spec,
-                                  const HarnessConfig& config) {
-  const std::vector<SweepCell> cells = sweep_cells(suite, spec);
-  HarnessConfig eff = config;
-  eff.samples_per_task = spec.samples_per_task;
-  eff.seed = spec.seed;
-
-  std::vector<TaskResult> out;
-  out.reserve(cells.size());
-  if (eff.threads == 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      out.push_back(run_task(suite, cells[i], eff, static_cast<int>(i)));
-    }
-    return out;
-  }
-  // Submit every cell; each cell then fans its samples out as nested pool
-  // tasks. Collection order is the cell order, independent of completion.
-  const auto priority = eff.high_priority ? support::TaskPriority::High
-                                          : support::TaskPriority::Normal;
-  ThreadPool& pool = ThreadPool::global();
-  std::vector<std::future<TaskResult>> futures;
-  futures.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    futures.push_back(
-        pool.submit(priority, [&suite, cell, eff, i] {
-          return run_task(suite, cell, eff, static_cast<int>(i));
-        }));
-  }
-  for (auto& f : futures) out.push_back(pool.await(f));
-  return out;
-}
-
-std::vector<TaskResult> run_pair_sweep(const Pair& pair,
-                                       const HarnessConfig& config) {
-  return run_sweep(Suite::paper(), pair_spec(pair, config), config);
 }
 
 }  // namespace pareval::eval

@@ -35,9 +35,9 @@ struct SampleOutcome {
   long long tokens = 0;
   /// Staged provenance of the *overall* attempt when it failed: one
   /// StageOutcome per attempted stage, in pipeline order. Stage log slices
-  /// are kept under HarnessConfig::keep_logs (bounded by max_log_bytes)
-  /// and stripped otherwise — the structured verdicts/details survive
-  /// either way. Empty for passed and aborted samples.
+  /// are kept under HarnessConfig::keep_logs and stripped otherwise — the
+  /// structured verdicts/details survive either way. Empty for passed and
+  /// aborted samples.
   std::vector<StageOutcome> stages;
   std::vector<std::string> defects;  // injected (ground truth for Fig. 3)
 
@@ -74,38 +74,30 @@ struct SampleRecord;
 
 /// Incremental progress hook: invoked once per *completed* sample with
 /// its coordinate-tagged record, at completion time (not collection
-/// time), from whichever thread ran the sample — so pooled sweeps invoke
-/// it concurrently and the callee must synchronize. Samples skipped past
-/// a cell's abort floor never ran and are not reported. The sweep
-/// server's result streaming and the CLI tools' progress meters both
-/// ride this instead of parsing anything.
+/// time), from whichever thread ran the sample — so concurrent producers
+/// invoke it concurrently and the callee must synchronize. The sweep
+/// server's result streaming (serve::Client) rides this instead of
+/// parsing anything.
 using SampleProgressFn = std::function<void(const SampleRecord&)>;
 
+/// The execution knobs of a sweep. What a sweep covers — cells, samples
+/// per cell, seed — is the SweepSpec's; apart from keep_logs stripping
+/// log slices, no field here changes a result.
 struct HarnessConfig {
-  int samples_per_task = 25;  // the paper's N (scores are multiples of 0.04)
-  std::uint64_t seed = 1070;
   /// Keep per-stage failure-log slices in SampleOutcome (and thus in shard
   /// files). When false only the structured stage verdicts/details are
   /// recorded, so large sweeps don't ship log blobs.
   bool keep_logs = true;
-  /// When keep_logs is set and this is non-zero, every kept stage-log
-  /// slice is truncated to this many bytes. 0 = unbounded (the default,
-  /// which keeps results bit-identical to the unbounded harness).
-  std::size_t max_log_bytes = 0;
-  /// Concurrency for run_task / run_sweep: 1 = fully serial (no pool),
-  /// anything else schedules every sample of every cell on the global
+  /// Concurrency for run_sweep / run_shard: 1 = fully serial (no pool),
+  /// anything else schedules every (cell, sample) unit on the global
   /// work-stealing pool (which sizes itself to hardware_threads()).
   /// Each sample draws from its own seed ⊕ hash(llm, technique, pair, app,
   /// sample) RNG stream, so results are bit-identical for every setting.
   unsigned threads = 0;
-  /// Consult a ScoreCache before building/running a repo. Pure
-  /// memoization: hit or miss, the scores are identical.
-  bool use_score_cache = true;
-  /// The cache instance to consult: injected dependency, nullptr = the
-  /// process-wide ScoreCache::global(). An injected cache is used even
-  /// when use_score_cache is false (the flag only governs the global
-  /// default), so two sweeps can run against isolated caches in one
-  /// process.
+  /// The ScoreCache consulted before building/running a repo; nullptr =
+  /// uncached. Pure memoization: hit or miss, the scores are identical.
+  /// The caller owns the cache, so two sweeps in one process share
+  /// memoized scores only when they are handed the same instance.
   ScoreCache* score_cache = nullptr;
   /// Schedule this work on the pool's High lane so it drains before any
   /// Normal-priority tasks (figure-critical cells in bench_figures).
@@ -115,29 +107,7 @@ struct HarnessConfig {
   /// --verify and the differential VM tests), so this only changes
   /// Execute wall time — scores, logs, and cache contents are invariant.
   minic::EngineKind engine = minic::EngineKind::Interp;
-  /// Per-completed-sample streaming hook (see SampleProgressFn). Purely
-  /// observational: results are bit-identical with or without it.
-  SampleProgressFn on_sample;
 };
-
-/// The legacy flat scoring verdict: built/passed plus one log blob. Kept
-/// as the convenience view of a StagedScore (eval/pipeline.hpp) for call
-/// sites that don't care about per-stage provenance.
-struct ScoreResult {
-  bool built = false;
-  bool passed = false;
-  std::string log;
-
-  bool operator==(const ScoreResult&) const = default;
-};
-
-/// Score one generated repository against the app's validation tests:
-/// builds, runs every test case, matches golden output, and executed on
-/// the requested device (§6.1). Thin wrapper over ScoringPipeline::score
-/// collapsing the staged outcomes to the legacy flat result; the log is
-/// byte-identical to the pre-staged monolith's transcript.
-ScoreResult score_repo(const apps::AppSpec& app, const vfs::Repo& repo,
-                       apps::Model target);
 
 /// Version key of the scoring pipeline for `suite`'s registered apps:
 /// folds a hand-bumped pipeline tag with every embedded scoring input
@@ -296,9 +266,6 @@ class ScoreCache {
   /// block are this object.
   support::Json stats() const;
 
-  /// Process-wide instance used by run_task when use_score_cache is set.
-  static ScoreCache& global();
-
  private:
   struct Entry {
     StagedScore result;
@@ -346,26 +313,23 @@ struct SweepCell {
   llm::Pair pair;
 };
 
-/// Run one (cell, sample) unit with its derived RNG stream: seed ⊕
-/// hash(llm, technique, pair, app, sample_index). The unit depends only on
-/// its coordinates — never on execution order, thread count, or which
-/// process runs it — which is what makes distributed sharding exact.
-/// Calibration (how capable the simulated LLM is on this cell) resolves
-/// through `suite`, so suites with registered LLMs/pairs generate instead
-/// of aborting on missing paper tables.
+/// Run one (cell, sample) unit with its derived RNG stream: `seed` (the
+/// spec's) ⊕ hash(llm, technique, pair, app, sample_index). The unit
+/// depends only on its coordinates — never on execution order, thread
+/// count, or which process runs it — which is what makes distributed
+/// sharding exact. Calibration (how capable the simulated LLM is on this
+/// cell) resolves through `suite`, so suites with registered LLMs/pairs
+/// generate instead of aborting on missing paper tables. A cell without
+/// calibration aborts before generating, so either every sample of a cell
+/// aborts or none does.
 SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
-                          const HarnessConfig& config, int sample_index);
-
-/// Paper-suite convenience overload (Suite::paper() calibration).
-SampleRun run_cell_sample(const apps::AppSpec& app, llm::Technique technique,
-                          const llm::LlmProfile& profile,
-                          const llm::Pair& pair, const HarnessConfig& config,
+                          const HarnessConfig& config, std::uint64_t seed,
                           int sample_index);
 
 /// Fold per-sample runs (in sample-index order) into a TaskResult. Stops
-/// at the first non-generated sample exactly as the serial early-exit
-/// does; run_task and the shard merger share this so any recombination of
-/// the same SampleRuns is bit-identical to a single-process run.
+/// at the first non-generated sample; run_sweep and merge_shards share
+/// this so any recombination of the same SampleRuns is bit-identical to a
+/// single-process run.
 TaskResult aggregate_samples(const apps::AppSpec& app,
                              llm::Technique technique,
                              const llm::LlmProfile& profile,
@@ -380,40 +344,16 @@ TaskResult aggregate_samples(const apps::AppSpec& app,
 std::vector<SweepCell> sweep_cells(const Suite& suite,
                                    const SweepSpec& spec);
 
-/// The cells of one pair's sweep under the paper suite and default spec —
-/// the pre-registry enumeration, bit-identical to the original harness.
-std::vector<SweepCell> sweep_cells(const llm::Pair& pair);
-
-/// Run one cell against `suite`'s calibration. samples_per_task and seed
-/// come from `config`. `cell_index` is only the coordinate stamped on
-/// records streamed through config.on_sample (run_sweep passes the cell's
-/// index in its enumeration; direct single-cell callers can leave the
-/// default).
-TaskResult run_task(const Suite& suite, const SweepCell& cell,
-                    const HarnessConfig& config = {}, int cell_index = 0);
-
-/// Run one cell of the paper suite.
-TaskResult run_task(const apps::AppSpec& app, llm::Technique technique,
-                    const llm::LlmProfile& profile, const llm::Pair& pair,
-                    const HarnessConfig& config = {});
-
-/// Run every cell of a (suite, spec) sweep, in canonical cell order.
-/// samples_per_task and seed come from the *spec* (the config's copies are
-/// ignored); config contributes the execution knobs (threads, logs,
-/// score cache, priority). This is the canonical sweep entry point;
-/// run_pair_sweep is the paper-suite special case.
+/// Run every cell of a (suite, spec) sweep, in canonical cell order: the
+/// 1-shard run_shard (eval/shard.hpp), each cell's runs folded by
+/// aggregate_samples. samples_per_task and seed come from the spec; config
+/// contributes the execution knobs (threads, logs, score cache, priority,
+/// engine).
 std::vector<TaskResult> run_sweep(const Suite& suite, const SweepSpec& spec,
                                   const HarnessConfig& config = {});
 
-/// Run every cell of one pair of the paper benchmark (the paper's
-/// per-figure sweep): Suite::paper() + the default spec restricted to
-/// `pair`, with samples/seed taken from `config`.
-std::vector<TaskResult> run_pair_sweep(const llm::Pair& pair,
-                                       const HarnessConfig& config = {});
-
-/// The default spec restricted to one pair with `config`'s samples/seed —
-/// the SweepSpec equivalent of a legacy per-pair call, shared by the
-/// run_pair_sweep/run_shard/merge_shards compatibility wrappers.
-SweepSpec pair_spec(const llm::Pair& pair, const HarnessConfig& config = {});
+/// The paper's default spec restricted to one pair (N=25, seed 1070):
+/// one of the paper's per-figure sweeps.
+SweepSpec pair_spec(const llm::Pair& pair);
 
 }  // namespace pareval::eval

@@ -9,9 +9,8 @@
 // keyword-grepping a flat log blob to recover it.
 //
 // Stage slices concatenate to exactly the transcript the monolithic
-// score_repo used to return (StagedScore::flat_log), so every score,
-// figure, and persisted log stays byte-identical to the pre-staged
-// pipeline.
+// scorer used to return (StagedScore::flat_log), so every score, figure,
+// and persisted log stays byte-identical to the pre-staged pipeline.
 //
 // The Build stage is independently cacheable: builds do not depend on the
 // scoring target model, so a BuildArtifactCache keyed by (app, repo
@@ -107,7 +106,7 @@ struct StagedScore {
   std::vector<StageOutcome> stages;
 
   /// The legacy flat transcript: stage log slices concatenated in stage
-  /// order — byte-identical to the monolithic score_repo's log.
+  /// order — byte-identical to the monolithic scorer's log.
   std::string flat_log() const;
 
   bool operator==(const StagedScore&) const = default;
@@ -142,8 +141,8 @@ using BuildArtifactCache =
 /// The staged scorer: builds the repository (through the build-artifact
 /// cache when one is injected), runs every test case, and validates golden
 /// output, tolerance, and the §6.1 device requirement — producing one
-/// StageOutcome per attempted stage. score_repo (eval/harness.hpp) is a
-/// thin wrapper collapsing the stages back to the legacy ScoreResult.
+/// StageOutcome per attempted stage; StagedScore::flat_log() is the flat
+/// single-blob view for callers that don't care about provenance.
 class ScoringPipeline {
  public:
   ScoringPipeline() = default;

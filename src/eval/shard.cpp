@@ -1,8 +1,10 @@
 #include "eval/shard.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -47,43 +49,46 @@ ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
   const std::vector<SweepCell> cells = sweep_cells(suite, spec);
   const ShardPlan plan = plan_shard(cells.size(), spec.samples_per_task,
                                     shard_index, shard_count);
-  HarnessConfig eff = config;
-  eff.samples_per_task = spec.samples_per_task;
-  eff.seed = spec.seed;
-
   ShardResult out;
   out.spec = spec;
   out.suite_fingerprint = suite.fingerprint();
-  out.engine = eff.engine;
+  out.engine = config.engine;
   out.shard_index = shard_index;
   out.shard_count = shard_count;
   out.records.reserve(plan.units.size());
 
-  if (eff.threads == 1) {
+  // Every batch sweep, shard and figure runs its units through this loop
+  // (the sweep server's JobQueue dispatches units one at a time instead).
+  if (config.threads == 1) {
     for (const auto& [cell, sample] : plan.units) {
       out.records.push_back(
-          {cell, sample, run_cell_sample(suite, cells[cell], eff, sample)});
-      if (eff.on_sample) eff.on_sample(out.records.back());
+          {cell, sample,
+           run_cell_sample(suite, cells[cell], config, spec.seed, sample)});
     }
     return out;
   }
   // Every unit is an independent pool task; collection order is plan
-  // order, independent of completion order. The progress callback fires
-  // inside the task — at completion time, possibly concurrently — not at
-  // collection time, so streaming consumers see units as they finish.
-  const auto priority = eff.high_priority ? support::TaskPriority::High
-                                          : support::TaskPriority::Normal;
+  // order, independent of completion order. Submission is sample-major,
+  // so units that run side by side belong to different cells: samples of
+  // one cell often generate the same repository, and concurrent misses on
+  // one score-cache key wait for a single computation instead of working.
+  const auto priority = config.high_priority ? support::TaskPriority::High
+                                             : support::TaskPriority::Normal;
+  std::vector<std::size_t> order(plan.units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&plan](std::size_t a, std::size_t b) {
+                     return plan.units[a].second < plan.units[b].second;
+                   });
   ThreadPool& pool = ThreadPool::global();
-  std::vector<std::future<SampleRun>> futures;
-  futures.reserve(plan.units.size());
-  for (const auto& [cell, sample] : plan.units) {
-    const SweepCell& c = cells[cell];
-    futures.push_back(pool.submit(
-        priority, [&suite, c, eff, cell = cell, sample = sample] {
-          SampleRun run = run_cell_sample(suite, c, eff, sample);
-          if (eff.on_sample) eff.on_sample({cell, sample, run});
-          return run;
-        }));
+  std::vector<std::future<SampleRun>> futures(plan.units.size());
+  for (const std::size_t i : order) {
+    const auto [cell, sample] = plan.units[i];
+    futures[i] = pool.submit(
+        priority, [&suite, config, c = cells[cell], seed = spec.seed,
+                   sample = sample] {
+          return run_cell_sample(suite, c, config, seed, sample);
+        });
   }
   for (std::size_t i = 0; i < plan.units.size(); ++i) {
     out.records.push_back(
@@ -92,10 +97,26 @@ ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
   return out;
 }
 
-ShardResult run_shard(const llm::Pair& pair, int shard_index,
-                      int shard_count, const HarnessConfig& config) {
-  return run_shard(Suite::paper(), pair_spec(pair, config), shard_index,
-                   shard_count, config);
+std::vector<TaskResult> run_sweep(const Suite& suite, const SweepSpec& spec,
+                                  const HarnessConfig& config) {
+  const std::vector<SweepCell> cells = sweep_cells(suite, spec);
+  ShardResult shard = run_shard(suite, spec, 0, 1, config);
+  // The 1-shard plan is cell-major with samples ascending, so cell c owns
+  // records [c * N, (c + 1) * N).
+  const auto samples = static_cast<std::size_t>(spec.samples_per_task);
+  auto record = shard.records.begin();
+  std::vector<TaskResult> out;
+  out.reserve(cells.size());
+  for (const SweepCell& cell : cells) {
+    std::vector<SampleRun> runs;
+    runs.reserve(samples);
+    for (std::size_t i = 0; i < samples; ++i, ++record) {
+      runs.push_back(std::move(record->run));
+    }
+    out.push_back(aggregate_samples(*cell.app, cell.technique, *cell.profile,
+                                    cell.pair, std::move(runs)));
+  }
+  return out;
 }
 
 // --- merger -----------------------------------------------------------------
@@ -189,18 +210,6 @@ std::vector<TaskResult> merge_shards(const Suite& suite,
                                     std::move(runs)));
   }
   return out;
-}
-
-std::vector<TaskResult> merge_shards(const llm::Pair& pair,
-                                     const std::vector<ShardResult>& shards) {
-  if (shards.empty()) {
-    throw std::runtime_error("merge_shards: no shards to merge");
-  }
-  const SweepSpec& spec = shards.front().spec;
-  if (spec.pairs != std::vector<std::string>{llm::pair_key(pair)}) {
-    throw std::runtime_error("merge_shards: shard is for a different pair");
-  }
-  return merge_shards(Suite::paper(), spec, shards);
 }
 
 // --- enum keys --------------------------------------------------------------

@@ -28,10 +28,6 @@
 
 namespace pareval::eval {
 
-// SampleRecord lives in eval/harness.hpp now (the streaming progress
-// callback carries it), re-exported here for the shard subsystem's
-// historical spelling.
-
 /// The units one shard owns: global unit index g = cell * samples_per_task
 /// + sample is assigned to shard g % shard_count. Interleaving balances
 /// load (consecutive samples of an expensive cell land on different
@@ -69,33 +65,24 @@ struct ShardResult {
   bool operator==(const ShardResult&) const = default;
 };
 
-/// Run this process's share of a (suite, spec) sweep. Uses the global pool
-/// unless config.threads == 1; samples/seed come from the spec.
+/// Run this process's share of a (suite, spec) sweep: the one loop that
+/// runs (cell, sample) units, which run_sweep also runs over the 1-shard
+/// plan. Serial when config.threads == 1, otherwise one global-pool task
+/// per unit, collected in plan order. samples/seed come from the spec.
 ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
                       int shard_index, int shard_count,
                       const HarnessConfig& config = {});
-
-/// Paper-suite compatibility: one pair's sweep (the default spec
-/// restricted to `pair` with config's samples/seed, see pair_spec).
-ShardResult run_shard(const llm::Pair& pair, int shard_index,
-                      int shard_count, const HarnessConfig& config = {});
 
 /// Recombine shards of one (suite, spec) sweep into per-cell TaskResults,
 /// bit-identical to run_sweep with the same spec. Throws
 /// std::runtime_error when any shard's spec_hash differs from `spec`'s,
 /// any shard was produced under a suite whose fingerprint differs from
 /// `suite`'s, the shards disagree on shard_count, cover a unit twice, or
-/// leave a unit uncovered. (Records past a cell's abort floor are still required
-/// for coverage — a shard cannot know another shard aborted — but
-/// aggregation ignores them, exactly as the single-process pool does.)
+/// leave a unit uncovered. (Records past a cell's first aborted sample are
+/// still required for coverage — every unit runs in full — but aggregation
+/// ignores them, exactly as run_sweep does.)
 std::vector<TaskResult> merge_shards(const Suite& suite,
                                      const SweepSpec& spec,
-                                     const std::vector<ShardResult>& shards);
-
-/// Paper-suite compatibility: merge per-pair shards produced by the
-/// run_shard(pair, ...) wrapper. The spec is recovered from the first
-/// shard; it must select exactly `pair`.
-std::vector<TaskResult> merge_shards(const llm::Pair& pair,
                                      const std::vector<ShardResult>& shards);
 
 // --- stable string keys for enums (used by the JSON codecs) ----------------

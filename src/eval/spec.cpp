@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "eval/suite.hpp"
@@ -159,12 +160,13 @@ bool strings_from_json(const Json& j, std::vector<std::string>* out) {
 }
 
 /// Seeds round-trip as 16-digit hex (exact for all 64 bits), but a
-/// hand-written spec naturally says `"seed": 1070` — accept both.
+/// hand-written spec naturally says `"seed": 1070` — accept both. A
+/// number must be a non-negative JSON integer (a double is rejected, not
+/// truncated).
 bool seed_from_json(const Json& j, std::uint64_t* out) {
   if (j.is_number()) {
-    const long long v = j.as_int();
-    if (v < 0) return false;
-    *out = static_cast<std::uint64_t>(v);
+    if (j.type() != Json::Type::Int || j.as_int() < 0) return false;
+    *out = static_cast<std::uint64_t>(j.as_int());
     return true;
   }
   return support::u64_from_hex(j.as_string(), out);
@@ -217,9 +219,14 @@ bool from_json(const Json& j, SweepSpec* out) {
   // Omitted samples/seed/gates fall back to the defaults, so a minimal
   // hand-written spec is just {"format": ..., "llms": [...]}.
   out->samples_per_task = SweepSpec{}.samples_per_task;
-  if (!j["samples_per_task"].is_null()) {
-    if (!j["samples_per_task"].is_number()) return false;
-    out->samples_per_task = static_cast<int>(j["samples_per_task"].as_int());
+  if (const Json& n = j["samples_per_task"]; !n.is_null()) {
+    // An integer in [1, INT_MAX]: no fraction, exponent or int64 overflow
+    // (all of which parse as doubles), and nothing an int cast would wrap.
+    if (n.type() != Json::Type::Int || n.as_int() < 1 ||
+        n.as_int() > std::numeric_limits<int>::max()) {
+      return false;
+    }
+    out->samples_per_task = static_cast<int>(n.as_int());
   }
   out->seed = SweepSpec{}.seed;
   if (!j["seed"].is_null() && !seed_from_json(j["seed"], &out->seed)) {

@@ -44,10 +44,6 @@ int JobQueue::submit(const eval::SweepSpec& spec,
       eval::plan_shard(job->cells.size(), spec.samples_per_task, 0, 1);
   job->units = plan.units;
   job->config = base_config;
-  job->config.samples_per_task = spec.samples_per_task;
-  job->config.seed = spec.seed;
-  job->config.high_priority = high_priority;
-  job->config.on_sample = {};  // delivery goes through the job sink
   job->on_sample = std::move(on_sample);
   job->on_done = std::move(on_done);
 
@@ -76,7 +72,7 @@ int JobQueue::submit(const eval::SweepSpec& spec,
       {
         std::lock_guard<std::mutex> lock(mu_);
         done = finish_locked(job);
-        if (inflight_ == 0 && active_ == 0) idle_cv_.notify_all();
+        if (idle_locked()) idle_cv_.notify_all();
       }
       if (done) done();
     });
@@ -126,7 +122,8 @@ void JobQueue::dispatch_locked() {
       if (ran) {
         record = {cell, sample,
                   eval::run_cell_sample(suite_, job->cells[cell],
-                                        job->config, sample)};
+                                        job->config, job->spec.seed,
+                                        sample)};
         // Stream outside the queue lock: the sink serializes on its own
         // transport and must never order against dispatch.
         if (job->on_sample) job->on_sample(job->id, record);
@@ -137,7 +134,7 @@ void JobQueue::dispatch_locked() {
         --inflight_;
         done = settle_unit_locked(job, ran);
         dispatch_locked();
-        if (inflight_ == 0 && active_ == 0) idle_cv_.notify_all();
+        if (idle_locked()) idle_cv_.notify_all();
       }
       if (done) done();
     });
@@ -167,7 +164,15 @@ std::function<void()> JobQueue::finish_locked(
   const int id = job->id;
   auto cb = job->on_done;
   if (!cb) return {};
-  return [cb, id, cancelled, records] { cb(id, cancelled, records); };
+  // The callback runs after the caller drops mu_; wait_idle (and so the
+  // destructor) must not return before it has.
+  ++running_callbacks_;
+  return [this, cb, id, cancelled, records] {
+    cb(id, cancelled, records);
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_callbacks_;
+    if (idle_locked()) idle_cv_.notify_all();
+  };
 }
 
 bool JobQueue::cancel(int id, std::size_t* skipped) {
@@ -195,7 +200,7 @@ bool JobQueue::cancel(int id, std::size_t* skipped) {
     job->settled += undispatched;
     job->skipped += undispatched;
     if (job->settled >= job->units.size()) done = finish_locked(job);
-    if (inflight_ == 0 && active_ == 0) idle_cv_.notify_all();
+    if (idle_locked()) idle_cv_.notify_all();
   }
   if (done) done();
   return true;
@@ -249,7 +254,7 @@ std::size_t JobQueue::active_jobs() const {
 
 void JobQueue::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return active_ == 0 && inflight_ == 0; });
+  idle_cv_.wait(lock, [this] { return idle_locked(); });
 }
 
 }  // namespace pareval::serve

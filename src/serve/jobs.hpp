@@ -115,9 +115,9 @@ class JobQueue {
   std::size_t inflight_units() const;
   std::size_t active_jobs() const;
 
-  /// Block until no job is active and no unit is in flight. New submits
-  /// during the wait extend it — pair with an external "stop accepting"
-  /// flag for a graceful drain.
+  /// Block until no job is active, no unit is in flight, and every
+  /// on_done has returned. New submits during the wait extend it — pair
+  /// with an external "stop accepting" flag for a graceful drain.
   void wait_idle();
 
  private:
@@ -133,7 +133,7 @@ class JobQueue {
     std::size_t settled = 0;                 // completed + skipped
     std::size_t completed = 0;
     std::size_t skipped = 0;
-    eval::HarnessConfig config;  // samples/seed already folded in
+    eval::HarnessConfig config;  // run_cell_sample's execution knobs
     JobSampleFn on_sample;
     JobDoneFn on_done;
   };
@@ -153,6 +153,11 @@ class JobQueue {
   /// Callers keep their own shared_ptr, since this erases the table's.
   std::function<void()> finish_locked(const std::shared_ptr<Job>& job);
   static JobInfo info_of(const Job& job);
+  /// No active job, no unit in flight, and no on_done still running.
+  /// Caller holds mu_.
+  bool idle_locked() const {
+    return active_ == 0 && inflight_ == 0 && running_callbacks_ == 0;
+  }
 
   const eval::Suite& suite_;
   std::size_t max_inflight_ = 0;
@@ -164,6 +169,7 @@ class JobQueue {
   std::size_t rr_next_ = 0;
   std::size_t inflight_ = 0;
   std::size_t active_ = 0;
+  std::size_t running_callbacks_ = 0;  // on_done calls not yet returned
   int next_id_ = 1;
 };
 

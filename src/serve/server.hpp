@@ -52,8 +52,8 @@ class SweepServer {
   };
 
   /// `suite` must outlive the server. The server owns a private
-  /// ScoreCache (not ScoreCache::global()), so in-process tests and
-  /// embedded servers get isolated cache state for free.
+  /// ScoreCache, so in-process tests and embedded servers get isolated
+  /// cache state for free.
   explicit SweepServer(Config config, const eval::Suite& suite);
 
   /// stop()s if still running.

@@ -19,16 +19,22 @@ using xlate::DefectKind;
 
 namespace {
 
+/// The paper's sweep of one pair at N samples.
+eval::SweepSpec corpus_spec(const llm::Pair& pair, int samples) {
+  eval::SweepSpec spec = eval::pair_spec(pair);
+  spec.samples_per_task = samples;
+  return spec;
+}
+
 /// A reduced but defect-diverse corpus: every cell of one pair at N
-/// samples (the same shape examples/error_analysis.cpp sweeps).
+/// samples (the same shape examples/error_analysis.cpp sweeps), uncached.
 std::vector<eval::TaskResult> seed_corpus(const llm::Pair& pair,
                                           int samples,
                                           unsigned threads = 1) {
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = samples;
   cfg.threads = threads;
-  cfg.use_score_cache = false;
-  return eval::run_pair_sweep(pair, cfg);
+  return eval::run_sweep(eval::Suite::paper(), corpus_spec(pair, samples),
+                         cfg);
 }
 
 /// seed_corpus(all_pairs()[0], 8), swept once for the tests that share it.
@@ -176,11 +182,11 @@ TEST(ClassifyDeterminism, ClusterMergeStableAcrossThreadCounts) {
   const llm::Pair pair = llm::all_pairs()[0];
   const auto serial_tasks = seed_corpus(pair, 6, /*threads=*/1);
   eval::HarnessConfig pooled_cfg;
-  pooled_cfg.samples_per_task = 6;
   pooled_cfg.threads = 0;  // the global pool
   eval::ScoreCache cache;
   pooled_cfg.score_cache = &cache;
-  const auto pooled_tasks = eval::run_pair_sweep(pair, pooled_cfg);
+  const auto pooled_tasks =
+      eval::run_sweep(eval::Suite::paper(), corpus_spec(pair, 6), pooled_cfg);
   ASSERT_EQ(serial_tasks, pooled_tasks);
 
   const auto a = eval::classify_failures(serial_tasks);

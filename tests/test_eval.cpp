@@ -9,6 +9,7 @@
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "eval/report.hpp"
+#include "one_cell.hpp"
 #include "support/strings.hpp"
 
 using namespace pareval;
@@ -206,12 +207,14 @@ TEST(Harness, CellConvergesToPaperScores) {
   const auto* prof = llm::find_profile("o4-mini");
   double cb = 0, cp = 0, ob = 0, op = 0;
   const int kRounds = 4;
+  eval::ScoreCache cache;
+  eval::HarnessConfig cfg;
+  cfg.score_cache = &cache;
   for (int r = 0; r < kRounds; ++r) {
-    eval::HarnessConfig cfg;
-    cfg.samples_per_task = 25;
-    cfg.seed = 1070 + 104729u * static_cast<unsigned>(r);
-    const auto t =
-        eval::run_task(*app, Technique::NonAgentic, *prof, pair, cfg);
+    const auto t = run_one_cell(
+        one_cell_spec(app->name, Technique::NonAgentic, prof->name, pair, 25,
+                      1070 + 104729u * static_cast<unsigned>(r)),
+        cfg);
     ASSERT_TRUE(t.ran);
     cb += t.build1_codeonly();
     cp += t.pass1_codeonly();
@@ -227,66 +230,62 @@ TEST(Harness, CellConvergesToPaperScores) {
 TEST(Harness, OverallNeverExceedsCodeOnlyByMuch) {
   // Structural invariant of the two scoring modes: a ground-truth build
   // file can only help. (Small sampling jitter aside, code-only >= overall.)
+  eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 15;
-  const auto* app = apps::find_app("microXORh");
-  const auto t = eval::run_task(*app, Technique::NonAgentic,
-                                *llm::find_profile("qwq-32b-q8_0"),
-                                llm::all_pairs()[0], cfg);
+  cfg.score_cache = &cache;
+  const auto t = run_one_cell(one_cell_spec("microXORh", Technique::NonAgentic,
+                                            "qwq-32b-q8_0",
+                                            llm::all_pairs()[0], 15),
+                              cfg);
   ASSERT_TRUE(t.ran);
   EXPECT_GE(t.built_codeonly, t.built_overall);
   EXPECT_GE(t.passed_codeonly, t.passed_overall);
 }
 
 TEST(Harness, AbortedTaskIsMarked) {
-  eval::HarnessConfig cfg;
-  cfg.samples_per_task = 2;
-  const auto t = eval::run_task(*apps::find_app("llm.c"),
-                                Technique::NonAgentic,
-                                *llm::find_profile("gemini-1.5-flash"),
-                                llm::all_pairs()[0], cfg);
+  const auto t = run_one_cell(one_cell_spec("llm.c", Technique::NonAgentic,
+                                            "gemini-1.5-flash",
+                                            llm::all_pairs()[0], 2));
   EXPECT_FALSE(t.ran);
   EXPECT_FALSE(t.abort_reason.empty());
 }
 
-TEST(Harness, ScoreRepoRejectsHostOnlyTranslations) {
+TEST(Harness, ScoringRejectsHostOnlyTranslations) {
   // A "translation" that never touches the device must not pass, even if
   // its output is right (§6.1's hardware requirement).
   const auto* app = apps::find_app("nanoXOR");
   vfs::Repo repo = app->repos.at(apps::Model::OmpThreads);
   // Pretend this is the OmpOffload translation: host-only build.
-  const auto score = eval::score_repo(*app, repo, apps::Model::OmpOffload);
+  const auto score =
+      eval::ScoringPipeline().score(*app, repo, apps::Model::OmpOffload);
   EXPECT_TRUE(score.built);
   EXPECT_FALSE(score.passed);
-  EXPECT_NE(score.log.find("did not execute on the GPU"),
+  EXPECT_NE(score.flat_log().find("did not execute on the GPU"),
             std::string::npos);
 }
 
 // ------------------------------------------------------ staged pipeline --
 
 TEST(Pipeline, StagesConcatenateToLegacyLog) {
-  // The staged pipeline's flat_log must be byte-identical to the thin
-  // score_repo wrapper, for a passing, a device-failing, and a
-  // build-failing repo.
+  // The flat log is the stage slices in stage order, for a passing, a
+  // device-failing, and a build-failing repo.
   const auto* app = apps::find_app("nanoXOR");
   for (const auto target :
        {apps::Model::OmpThreads, apps::Model::OmpOffload}) {
     vfs::Repo repo = app->repos.at(apps::Model::OmpThreads);
     const auto staged = eval::ScoringPipeline().score(*app, repo, target);
-    const auto flat = eval::score_repo(*app, repo, target);
-    EXPECT_EQ(staged.built, flat.built);
-    EXPECT_EQ(staged.passed, flat.passed);
-    EXPECT_EQ(staged.flat_log(), flat.log);
+    EXPECT_TRUE(staged.built);
+    EXPECT_EQ(staged.passed, target == apps::Model::OmpThreads);
+    EXPECT_EQ(staged.flat_log(), eval::concat_stage_logs(staged.stages));
   }
   vfs::Repo broken = app->repos.at(apps::Model::OmpThreads);
   broken.remove("Makefile");
   const auto staged =
       eval::ScoringPipeline().score(*app, broken, apps::Model::OmpThreads);
-  const auto flat =
-      eval::score_repo(*app, broken, apps::Model::OmpThreads);
   EXPECT_FALSE(staged.built);
-  EXPECT_EQ(staged.flat_log(), flat.log);
+  EXPECT_FALSE(staged.flat_log().empty());
   ASSERT_EQ(staged.stages.size(), 1u);
+  EXPECT_EQ(staged.flat_log(), staged.stages[0].log);
   EXPECT_EQ(staged.stages[0].stage, eval::Stage::Build);
   EXPECT_EQ(staged.stages[0].verdict, eval::StageVerdict::Fail);
 }
@@ -333,16 +332,15 @@ TEST(Pipeline, OverallAndCodeOnlyShareOneBuild) {
   const auto* app = apps::find_app("nanoXOR");
   const auto pair = llm::all_pairs()[0];
   const auto* prof = llm::find_profile("o4-mini");
+  const eval::SweepCell cell{app, Technique::NonAgentic, prof, pair};
   eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 1;
   cfg.score_cache = &cache;
   // Seed chosen so sample #0 passes overall (defect-free generation).
   for (std::uint64_t seed = 1070; seed < 1170; ++seed) {
     cache.clear();
-    cfg.seed = seed;
-    const auto run = eval::run_cell_sample(
-        *app, Technique::NonAgentic, *prof, pair, cfg, /*sample_index=*/0);
+    const auto run = eval::run_cell_sample(eval::Suite::paper(), cell, cfg,
+                                           seed, /*sample_index=*/0);
     ASSERT_TRUE(run.generated);
     if (!run.outcome.passed_overall) continue;
     // Overall scored the artifact (miss), Code-only swapped in the
@@ -385,14 +383,15 @@ TEST(Classify, LabelsKnownLogs) {
 }
 
 TEST(Classify, PipelineProducesCategoryCounts) {
+  eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 6;
+  cfg.score_cache = &cache;
   std::vector<eval::TaskResult> tasks;
   for (const char* name : {"gemini-1.5-flash", "o4-mini"}) {
-    tasks.push_back(eval::run_task(*apps::find_app("nanoXOR"),
-                                   Technique::NonAgentic,
-                                   *llm::find_profile(name),
-                                   llm::all_pairs()[0], cfg));
+    tasks.push_back(run_one_cell(one_cell_spec("nanoXOR",
+                                               Technique::NonAgentic, name,
+                                               llm::all_pairs()[0], 6),
+                                 cfg));
   }
   const auto result = eval::classify_failures(tasks);
   EXPECT_FALSE(result.logs.empty());
@@ -409,11 +408,13 @@ TEST(Report, Table1AndFigure2Render) {
   EXPECT_NE(t1.find("XSBench"), std::string::npos);
   EXPECT_NE(t1.find("# Files"), std::string::npos);
 
+  eval::ScoreCache cache;
   eval::HarnessConfig cfg;
-  cfg.samples_per_task = 4;
-  std::vector<eval::TaskResult> tasks = {eval::run_task(
-      *apps::find_app("nanoXOR"), Technique::NonAgentic,
-      *llm::find_profile("o4-mini"), llm::all_pairs()[0], cfg)};
+  cfg.score_cache = &cache;
+  std::vector<eval::TaskResult> tasks = {
+      run_one_cell(one_cell_spec("nanoXOR", Technique::NonAgentic, "o4-mini",
+                                 llm::all_pairs()[0], 4),
+                   cfg)};
   const std::string f2 = eval::figure2_report(llm::all_pairs()[0], tasks);
   EXPECT_NE(f2.find("Code-only build@1"), std::string::npos);
   EXPECT_NE(f2.find("Overall pass@1"), std::string::npos);

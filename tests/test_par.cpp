@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "eval/harness.hpp"
+#include "one_cell.hpp"
 #include "support/par.hpp"
 #include "support/sharded_cache.hpp"
 
@@ -270,37 +271,36 @@ TEST(ParallelFor, ThreadCapOfOneRunsInline) {
   EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
 }
 
-TEST(Determinism, RunTaskIdenticalAcrossThreadCounts) {
-  const auto* app = pareval::apps::find_app("nanoXOR");
-  ASSERT_NE(app, nullptr);
-  const auto& pair = pareval::llm::all_pairs()[0];
-  const auto& profile = pareval::llm::all_profiles()[0];
-
+TEST(Determinism, CellSweepIdenticalAcrossThreadCounts) {
+  const pe::SweepSpec spec = one_cell_spec(
+      "nanoXOR", pareval::llm::Technique::NonAgentic,
+      pareval::llm::all_profiles()[0].name, pareval::llm::all_pairs()[0],
+      12);
+  pe::ScoreCache serial_cache, parallel_cache;
   pe::HarnessConfig serial;
-  serial.samples_per_task = 12;
   serial.threads = 1;
+  serial.score_cache = &serial_cache;
   pe::HarnessConfig parallel = serial;
   parallel.threads = ps::hardware_threads();
+  parallel.score_cache = &parallel_cache;
 
-  const auto a = pe::run_task(*app, pareval::llm::Technique::NonAgentic,
-                              profile, pair, serial);
-  const auto b = pe::run_task(*app, pareval::llm::Technique::NonAgentic,
-                              profile, pair, parallel);
+  const auto a = run_one_cell(spec, serial);
+  const auto b = run_one_cell(spec, parallel);
   EXPECT_EQ(a, b);
 }
 
 TEST(Determinism, PairSweepIdenticalAcrossThreadCountsAndCache) {
-  const auto& pair = pareval::llm::all_pairs()[0];
+  pe::SweepSpec spec = pe::pair_spec(pareval::llm::all_pairs()[0]);
+  spec.samples_per_task = 2;
   pe::HarnessConfig serial;
-  serial.samples_per_task = 2;
   serial.threads = 1;
-  serial.use_score_cache = false;
+  pe::ScoreCache cache;
   pe::HarnessConfig parallel = serial;
   parallel.threads = ps::hardware_threads();
-  parallel.use_score_cache = true;
+  parallel.score_cache = &cache;
 
-  const auto a = pe::run_pair_sweep(pair, serial);
-  const auto b = pe::run_pair_sweep(pair, parallel);
+  const auto a = pe::run_sweep(pe::Suite::paper(), spec, serial);
+  const auto b = pe::run_sweep(pe::Suite::paper(), spec, parallel);
   EXPECT_EQ(a, b);
 }
 

@@ -403,13 +403,16 @@ TEST(ServeJobs, SettledJobsLeaveABoundedHistoryOfTheNewest) {
   const std::size_t units = static_cast<std::size_t>(spec.samples_per_task);
   const int total = static_cast<int>(pv::JobQueue::kJobHistory) + 6;
 
+  pe::ScoreCache cache;  // every job resubmits the same spec
+  pe::HarnessConfig config;
+  config.score_cache = &cache;
   std::atomic<int> done_calls{0};
   std::vector<int> ids;
   for (int i = 0; i < total; ++i) {
     // One at a time, so settle order is submit order and "newest" is
     // well defined.
     ids.push_back(queue.submit(
-        spec, pe::HarnessConfig(), /*high_priority=*/false, {},
+        spec, config, /*high_priority=*/false, {},
         [&](int, bool, std::size_t) { ++done_calls; }));
     queue.wait_idle();
   }

@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "eval/shard.hpp"
+#include "one_cell.hpp"
 #include "support/cachestore.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 
 namespace pe = pareval::eval;
 namespace ps = pareval::support;
-using pareval::llm::Pair;
 
 namespace {
 
@@ -76,6 +76,13 @@ pe::SweepSpec stack_spec() {
   return spec;
 }
 
+/// The paper's sweep of pair 0 at N=2: the fixture of the merge tests.
+pe::SweepSpec pair_zero_spec() {
+  pe::SweepSpec spec = pe::pair_spec(pareval::llm::all_pairs()[0]);
+  spec.samples_per_task = 2;
+  return spec;
+}
+
 /// Cold-sweep stack_spec() through `cache`, which the caller attached to
 /// a fresh store, and flush it.
 std::size_t cold_sweep_and_flush(pe::ScoreCache& cache) {
@@ -125,26 +132,30 @@ TEST(ShardPlan, RejectsInvalidArguments) {
 }
 
 TEST(ShardMerge, FourShardsBitIdenticalToSingleProcessSweep) {
-  const Pair& pair = pareval::llm::all_pairs()[0];
+  const pe::Suite& suite = pe::Suite::paper();
+  const pe::SweepSpec spec = pair_zero_spec();
+  pe::ScoreCache cache;
   pe::HarnessConfig config;
-  config.samples_per_task = 2;
+  config.score_cache = &cache;
 
   constexpr int kShards = 4;
   std::vector<pe::ShardResult> shards;
   for (int i = 0; i < kShards; ++i) {
-    shards.push_back(pe::run_shard(pair, i, kShards, config));
+    shards.push_back(pe::run_shard(suite, spec, i, kShards, config));
   }
-  const auto merged = pe::merge_shards(pair, shards);
-  const auto reference = pe::run_pair_sweep(pair, config);
+  const auto merged = pe::merge_shards(suite, spec, shards);
+  const auto reference = pe::run_sweep(suite, spec, config);
   EXPECT_EQ(merged, reference);
 }
 
 TEST(ShardMerge, SingleShardEqualsSweepAndSurvivesJsonRoundTrip) {
-  const Pair& pair = pareval::llm::all_pairs()[0];
+  const pe::Suite& suite = pe::Suite::paper();
+  const pe::SweepSpec spec = pair_zero_spec();
+  pe::ScoreCache cache;
   pe::HarnessConfig config;
-  config.samples_per_task = 2;
+  config.score_cache = &cache;
 
-  const pe::ShardResult shard = pe::run_shard(pair, 0, 1, config);
+  const pe::ShardResult shard = pe::run_shard(suite, spec, 0, 1, config);
   // Through the on-disk format, as the CI fan-in consumes it.
   std::vector<pe::ShardResult> parsed;
   std::string error;
@@ -154,53 +165,60 @@ TEST(ShardMerge, SingleShardEqualsSweepAndSurvivesJsonRoundTrip) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0], shard);
 
-  const auto merged = pe::merge_shards(pair, parsed);
-  EXPECT_EQ(merged, pe::run_pair_sweep(pair, config));
+  const auto merged = pe::merge_shards(suite, spec, parsed);
+  EXPECT_EQ(merged, pe::run_sweep(suite, spec, config));
 }
 
 TEST(ShardMerge, RejectsMissingAndDuplicateUnits) {
-  const Pair& pair = pareval::llm::all_pairs()[0];
+  const pe::Suite& suite = pe::Suite::paper();
+  const pe::SweepSpec spec = pair_zero_spec();
+  pe::ScoreCache cache;
   pe::HarnessConfig config;
-  config.samples_per_task = 2;
+  config.score_cache = &cache;
 
   std::vector<pe::ShardResult> shards;
   for (int i = 0; i < 2; ++i) {
-    shards.push_back(pe::run_shard(pair, i, 2, config));
+    shards.push_back(pe::run_shard(suite, spec, i, 2, config));
   }
   // Missing: drop one shard entirely.
-  EXPECT_THROW(pe::merge_shards(pair, {shards[0]}), std::runtime_error);
-  // Duplicate: the same shard twice.
-  EXPECT_THROW(pe::merge_shards(pair, {shards[0], shards[1], shards[1]}),
+  EXPECT_THROW(pe::merge_shards(suite, spec, {shards[0]}),
                std::runtime_error);
+  // Duplicate: the same shard twice.
+  EXPECT_THROW(
+      pe::merge_shards(suite, spec, {shards[0], shards[1], shards[1]}),
+      std::runtime_error);
   // Configuration mismatch: different seed (a different spec hash).
   auto reseeded = shards;
   reseeded[1].spec.seed ^= 1;
-  EXPECT_THROW(pe::merge_shards(pair, reseeded), std::runtime_error);
+  EXPECT_THROW(pe::merge_shards(suite, spec, reseeded), std::runtime_error);
 }
 
 TEST(ShardMerge, RejectsMixedEngineShards) {
   // Engines are bit-identical by contract, so a mixed set is not a score
   // problem — it means the worker fleet was misconfigured, and the merge
   // must refuse rather than paper over it.
-  const Pair& pair = pareval::llm::all_pairs()[0];
+  const pe::Suite& suite = pe::Suite::paper();
+  const pe::SweepSpec spec = pair_zero_spec();
+  pe::ScoreCache interp_cache, vm_cache;
   pe::HarnessConfig interp_config;
-  interp_config.samples_per_task = 2;
-  pe::HarnessConfig vm_config = interp_config;
+  interp_config.score_cache = &interp_cache;
+  pe::HarnessConfig vm_config;
+  vm_config.score_cache = &vm_cache;
   vm_config.engine = pareval::minic::EngineKind::Vm;
 
-  const auto interp_shard = pe::run_shard(pair, 0, 2, interp_config);
-  const auto vm_shard = pe::run_shard(pair, 1, 2, vm_config);
+  const auto interp_shard = pe::run_shard(suite, spec, 0, 2, interp_config);
+  const auto vm_shard = pe::run_shard(suite, spec, 1, 2, vm_config);
   EXPECT_EQ(interp_shard.engine, pareval::minic::EngineKind::Interp);
   EXPECT_EQ(vm_shard.engine, pareval::minic::EngineKind::Vm);
-  EXPECT_THROW(pe::merge_shards(pair, {interp_shard, vm_shard}),
+  EXPECT_THROW(pe::merge_shards(suite, spec, {interp_shard, vm_shard}),
                std::runtime_error);
 
   // A uniform VM fleet merges fine — and bit-identically to interp.
-  const auto vm_other = pe::run_shard(pair, 0, 2, vm_config);
-  const auto vm_merged = pe::merge_shards(pair, {vm_other, vm_shard});
-  const auto interp_other = pe::run_shard(pair, 1, 2, interp_config);
+  const auto vm_other = pe::run_shard(suite, spec, 0, 2, vm_config);
+  const auto vm_merged = pe::merge_shards(suite, spec, {vm_other, vm_shard});
+  const auto interp_other = pe::run_shard(suite, spec, 1, 2, interp_config);
   const auto interp_merged =
-      pe::merge_shards(pair, {interp_shard, interp_other});
+      pe::merge_shards(suite, spec, {interp_shard, interp_other});
   EXPECT_EQ(vm_merged, interp_merged);
 }
 
@@ -261,13 +279,9 @@ TEST(ShardJson, StageOutcomeRoundTripAndCompactFields) {
 
 TEST(ShardJson, TaskResultRoundTripThroughText) {
   // A real task (with real failure logs) through dump + parse.
-  const auto* app = pareval::apps::find_app("nanoXOR");
-  ASSERT_NE(app, nullptr);
-  pe::HarnessConfig config;
-  config.samples_per_task = 4;
-  const auto task = pe::run_task(*app, pareval::llm::Technique::NonAgentic,
-                                 pareval::llm::all_profiles()[0],
-                                 pareval::llm::all_pairs()[0], config);
+  const auto task = run_one_cell(one_cell_spec(
+      "nanoXOR", pareval::llm::Technique::NonAgentic,
+      pareval::llm::all_profiles()[0].name, pareval::llm::all_pairs()[0], 4));
   const std::string text = pe::to_json(task).dump();
   const auto parsed = ps::Json::parse(text);
   ASSERT_TRUE(parsed.has_value());
@@ -649,10 +663,13 @@ TEST(ScoreCacheStack, StatsKeyOrderAndJournalBlocks) {
 }
 
 TEST(ShardFile, RejectsWrongFormatVersion) {
+  pe::SweepSpec spec = pair_zero_spec();
+  spec.samples_per_task = 1;
+  pe::ScoreCache cache;
   pe::HarnessConfig config;
-  config.samples_per_task = 1;
-  const auto shard = pe::run_shard(pareval::llm::all_pairs()[0], 0, 1,
-                                   config);
+  config.score_cache = &cache;
+  const auto shard =
+      pe::run_shard(pe::Suite::paper(), spec, 0, 1, config);
   std::string text = pe::shard_file_text({shard});
   ASSERT_NE(text.find("\"format_version\":3"), std::string::npos);
   text = ps::replace_all(text, "\"format_version\":3",
@@ -666,14 +683,17 @@ TEST(ShardFile, RejectsWrongFormatVersion) {
 TEST(ShardFile, KeepLogsOffStripsStageLogsButKeepsProvenance) {
   // keep_logs=false must round-trip through a shard file and shrink it:
   // the structured stage verdicts/details survive, the log slices do not.
-  const Pair pair = pareval::llm::all_pairs()[0];
+  pe::SweepSpec spec = pair_zero_spec();
+  spec.samples_per_task = 6;
+  pe::ScoreCache cache;
   pe::HarnessConfig with_logs;
-  with_logs.samples_per_task = 6;
+  with_logs.score_cache = &cache;
   pe::HarnessConfig without_logs = with_logs;
   without_logs.keep_logs = false;
 
-  const auto full = pe::run_shard(pair, 0, 1, with_logs);
-  const auto lean = pe::run_shard(pair, 0, 1, without_logs);
+  const auto full = pe::run_shard(pe::Suite::paper(), spec, 0, 1, with_logs);
+  const auto lean =
+      pe::run_shard(pe::Suite::paper(), spec, 0, 1, without_logs);
 
   // Same verdicts, same provenance shape, no log bytes.
   ASSERT_EQ(full.records.size(), lean.records.size());
@@ -706,25 +726,39 @@ TEST(ShardFile, KeepLogsOffStripsStageLogsButKeepsProvenance) {
   EXPECT_EQ(back[0], lean);
 }
 
-TEST(ShardFile, MaxLogBytesBoundsKeptSlices) {
-  const Pair pair = pareval::llm::all_pairs()[0];
-  pe::HarnessConfig bounded;
-  bounded.samples_per_task = 6;
-  bounded.max_log_bytes = 64;
-  const auto shard = pe::run_shard(pair, 0, 1, bounded);
-  bool saw_log = false;
-  for (const auto& rec : shard.records) {
-    for (const auto& s : rec.run.outcome.stages) {
-      EXPECT_LE(s.log.size(), 64u);
-      if (!s.log.empty()) saw_log = true;
+TEST(ShardFile, AbsentCellRecordsEveryAbortAndSweepsToNothing) {
+  // llm.c has no gemini-1.5-flash non-agentic CUDA->OMP-offload
+  // calibration: the cell is absent, so every unit aborts before
+  // generating — all of them run, and all record the same reason.
+  const pe::SweepSpec spec =
+      one_cell_spec("llm.c", pareval::llm::Technique::NonAgentic,
+                    "gemini-1.5-flash", pareval::llm::all_pairs()[0], 3);
+  const pe::Suite& suite = pe::Suite::paper();
+  for (const unsigned threads : {1u, 0u}) {
+    SCOPED_TRACE(threads == 1 ? "serial" : "pooled");
+    pe::HarnessConfig config;
+    config.threads = threads;
+    const pe::ShardResult shard = pe::run_shard(suite, spec, 0, 1, config);
+    ASSERT_EQ(shard.records.size(), 3u);
+    const std::string& reason = shard.records[0].run.abort_reason;
+    EXPECT_FALSE(reason.empty());
+    for (const pe::SampleRecord& record : shard.records) {
+      EXPECT_FALSE(record.run.generated);
+      EXPECT_EQ(record.run.abort_reason, reason);
     }
+
+    std::vector<pe::ShardResult> parsed;
+    std::string error;
+    ASSERT_TRUE(pe::parse_shard_file(pe::shard_file_text({shard}), &parsed,
+                                     &error))
+        << error;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0], shard);
+
+    const pe::TaskResult task = run_one_cell(spec, config);
+    EXPECT_FALSE(task.ran);
+    EXPECT_EQ(task.samples, 0);
+    EXPECT_EQ(task.abort_reason, reason);
+    EXPECT_TRUE(task.outcomes.empty());
   }
-  EXPECT_TRUE(saw_log);
-  // Bounded outcomes round-trip bit-identically too.
-  std::vector<pe::ShardResult> back;
-  std::string error;
-  ASSERT_TRUE(pe::parse_shard_file(pe::shard_file_text({shard}), &back,
-                                   &error))
-      << error;
-  EXPECT_EQ(back[0], shard);
 }

@@ -1,5 +1,5 @@
-// Tests for the Suite/SweepSpec layer: registry-driven cell enumeration
-// matching the legacy paper matrix, spec JSON round-trips and the
+// Tests for the Suite/SweepSpec layer: registries, gated cell
+// enumeration, spec JSON round-trips and the
 // stability/order-insensitivity of spec_hash, spec-hash enforcement in
 // merge_shards and the shard-file parser, and bit-identical custom-suite
 // sweeps across thread counts and a 3-way shard split.
@@ -90,26 +90,6 @@ TEST(Suite, PaperRegistriesMatchGlobalSets) {
   EXPECT_NE(suite.find_app("XSBench"), nullptr);
   EXPECT_NE(suite.find_profile("o4-mini"), nullptr);
   EXPECT_EQ(suite.find_app("no-such-app"), nullptr);
-}
-
-TEST(Suite, PaperEnumerationMatchesLegacySweepCells) {
-  // The registry + default-spec enumeration is the legacy per-pair cell
-  // list, cell for cell — the invariant that keeps sharding and the
-  // figure pipeline bit-identical through the redesign.
-  for (const Pair& pair : pareval::llm::all_pairs()) {
-    const auto cells = pe::sweep_cells(pair);
-    ASSERT_FALSE(cells.empty());
-    pe::SweepSpec spec = pe::SweepSpec::paper();
-    spec.pairs = {pareval::llm::pair_key(pair)};
-    const auto spec_cells = pe::sweep_cells(pe::Suite::paper(), spec);
-    ASSERT_EQ(spec_cells.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(spec_cells[i].app, cells[i].app);
-      EXPECT_EQ(spec_cells[i].technique, cells[i].technique);
-      EXPECT_EQ(spec_cells[i].profile, cells[i].profile);
-      EXPECT_EQ(spec_cells[i].pair, pair);
-    }
-  }
 }
 
 TEST(Suite, CalibrationOverridePrecedence) {
@@ -243,6 +223,25 @@ TEST(SweepSpec, FromJsonRejectsMalformedInput) {
   auto j = pe::to_json(pe::SweepSpec::paper());
   j.set("samples_per_task", "not a number");
   EXPECT_FALSE(pe::from_json(j, &spec));
+  // samples_per_task must be a JSON integer in [1, INT_MAX]: no
+  // truncation (2.5 would run N=2), no wrap (2^32 + 1 would run N=1), and
+  // no out-of-range double -> integer conversion.
+  for (const char* bad : {"2.5", "4294967297", "1e300", "1e20", "25.0",
+                          "0", "-3", "2147483648", "99999999999999999999"}) {
+    auto parsed = ps::Json::parse(bad);
+    ASSERT_TRUE(parsed.has_value()) << bad;
+    j.set("samples_per_task", *parsed);
+    EXPECT_FALSE(pe::from_json(j, &spec)) << "samples_per_task " << bad;
+  }
+  j.set("samples_per_task", *ps::Json::parse("2147483647"));
+  ASSERT_TRUE(pe::from_json(j, &spec));
+  EXPECT_EQ(spec.samples_per_task, 2147483647);
+  // A numeric seed is a non-negative JSON integer; larger seeds are hex.
+  j = pe::to_json(pe::SweepSpec::paper());
+  for (const char* bad : {"1070.5", "1e300", "-1"}) {
+    j.set("seed", *ps::Json::parse(bad));
+    EXPECT_FALSE(pe::from_json(j, &spec)) << "seed " << bad;
+  }
 }
 
 TEST(SweepSpec, HashIsStableAndOrderInsensitive) {
@@ -314,21 +313,23 @@ TEST(SweepSpec, GatesRestrictCells) {
 // ------------------------------------------------------- sweep identity --
 
 TEST(RunSweep, PaperSpecBitIdenticalToLegacyPairSweeps) {
-  // The acceptance invariant of the redesign: Suite::paper() + the
-  // default spec reproduces the pre-registry per-pair sweeps exactly.
+  // Suite::paper() + the default spec is the paper's per-pair sweeps
+  // (pair_spec), concatenated in pair order.
   const pe::SweepSpec spec = small_paper_spec();
-  const auto swept = pe::run_sweep(pe::Suite::paper(), spec);
-
-  std::vector<pe::TaskResult> legacy;
+  pe::ScoreCache cache;
   pe::HarnessConfig config;
-  config.samples_per_task = spec.samples_per_task;
-  config.seed = spec.seed;
+  config.score_cache = &cache;
+  const auto swept = pe::run_sweep(pe::Suite::paper(), spec, config);
+
+  std::vector<pe::TaskResult> per_pair;
   for (const Pair& pair : pareval::llm::all_pairs()) {
-    for (auto& t : pe::run_pair_sweep(pair, config)) {
-      legacy.push_back(std::move(t));
+    pe::SweepSpec one_pair = pe::pair_spec(pair);
+    one_pair.samples_per_task = spec.samples_per_task;
+    for (auto& t : pe::run_sweep(pe::Suite::paper(), one_pair, config)) {
+      per_pair.push_back(std::move(t));
     }
   }
-  EXPECT_EQ(swept, legacy);
+  EXPECT_EQ(swept, per_pair);
 }
 
 TEST(RunSweep, CustomSuiteIdenticalAcrossThreadCounts) {

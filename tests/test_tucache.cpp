@@ -354,17 +354,17 @@ TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
   // off (score layer cold, so Build stages actually consult the TU
   // streams — failed plans reconstruct, successful builds recompile). All
   // TaskResults, including per-stage logs, must be bit-identical.
-  const llm::Pair& pair = llm::all_pairs()[0];
+  const eval::Suite& suite = eval::Suite::paper();
+  eval::SweepSpec spec = eval::pair_spec(llm::all_pairs()[0]);
+  spec.samples_per_task = 4;
   eval::HarnessConfig uncached;
-  uncached.samples_per_task = 4;
   uncached.threads = 1;
-  uncached.use_score_cache = false;
-  const auto reference = eval::run_pair_sweep(pair, uncached);
+  const auto reference = eval::run_sweep(suite, spec, uncached);
 
   eval::ScoreCache cache;
   eval::HarnessConfig cached = uncached;
   cached.score_cache = &cache;
-  const auto through_cache = eval::run_pair_sweep(pair, cached);
+  const auto through_cache = eval::run_sweep(suite, spec, cached);
   EXPECT_EQ(reference, through_cache);
   EXPECT_GT(cache.tus().lookups(), 0u);
   EXPECT_LT(cache.tus().misses(), cache.tus().lookups())
@@ -379,7 +379,7 @@ TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
                          eval::scoring_pipeline_hash()));
   eval::HarnessConfig warm_cfg = uncached;
   warm_cfg.score_cache = &warm;
-  const auto through_store = eval::run_pair_sweep(pair, warm_cfg);
+  const auto through_store = eval::run_sweep(suite, spec, warm_cfg);
   EXPECT_EQ(reference, through_store);
   EXPECT_GT(warm.tus().plan_hits(), 0u)
       << "failed builds must reconstruct from persisted plans";

@@ -14,6 +14,7 @@
 #include "eval/pipeline.hpp"
 #include "execsim/driver.hpp"
 #include "minic/engine.hpp"
+#include "one_cell.hpp"
 #include "support/par.hpp"
 
 namespace pa = pareval::apps;
@@ -649,26 +650,22 @@ int main() {
 
 // The harness with engine=Vm is deterministic across thread counts and
 // produces the exact TaskResult of the interpreter-backed harness.
-TEST(VmHarness, RunTaskEngineAndThreadInvariant) {
-  const auto* app = pa::find_app("nanoXOR");
-  ASSERT_NE(app, nullptr);
-  const auto& pair = pareval::llm::all_pairs()[0];
-  const auto& profile = pareval::llm::all_profiles()[0];
-  const auto technique = pareval::llm::Technique::NonAgentic;
+TEST(VmHarness, CellSweepEngineAndThreadInvariant) {
+  const pe::SweepSpec spec = one_cell_spec(
+      "nanoXOR", pareval::llm::Technique::NonAgentic,
+      pareval::llm::all_profiles()[0].name, pareval::llm::all_pairs()[0], 6);
 
   pe::HarnessConfig interp_cfg;
-  interp_cfg.samples_per_task = 6;
   interp_cfg.threads = 1;
-  interp_cfg.use_score_cache = false;
 
   pe::HarnessConfig vm_serial = interp_cfg;
   vm_serial.engine = EngineKind::Vm;
   pe::HarnessConfig vm_parallel = vm_serial;
   vm_parallel.threads = pareval::support::hardware_threads();
 
-  const auto a = pe::run_task(*app, technique, profile, pair, interp_cfg);
-  const auto b = pe::run_task(*app, technique, profile, pair, vm_serial);
-  const auto c = pe::run_task(*app, technique, profile, pair, vm_parallel);
+  const auto a = run_one_cell(spec, interp_cfg);
+  const auto b = run_one_cell(spec, vm_serial);
+  const auto c = run_one_cell(spec, vm_parallel);
   EXPECT_EQ(a, b);
   EXPECT_EQ(b, c);
 }

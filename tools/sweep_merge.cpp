@@ -199,9 +199,7 @@ int main(int argc, char** argv) {
     // every cache layer (live, journaled, or serialized objects), and the
     // alternate execution engine are all pure memoization / pure
     // reimplementation.
-    eval::HarnessConfig uncached;
-    uncached.use_score_cache = false;
-    const auto reference = eval::run_sweep(suite, spec, uncached);
+    const auto reference = eval::run_sweep(suite, spec);
     const bool identical = reference == tasks;
     std::printf("determinism (merged vs uncached single-process): %s\n",
                 identical ? "IDENTICAL" : "MISMATCH");
@@ -394,7 +392,6 @@ int main(int argc, char** argv) {
     // scores, diags, and run stats, so any divergence is a VM (or
     // interpreter) bug, not noise.
     eval::HarnessConfig vm_uncached;
-    vm_uncached.use_score_cache = false;
     vm_uncached.engine = minic::EngineKind::Vm;
     const auto vm_reference = eval::run_sweep(suite, spec, vm_uncached);
     const bool vm_identical = vm_reference == reference;

@@ -61,6 +61,8 @@ int main(int argc, char** argv) {
   std::string out_path = "shard.json";
   std::string cache_dir;
   bool samples_set = false, seed_set = false;
+  // The classic flags edit the paper's default spec; --spec replaces it.
+  eval::SweepSpec spec = eval::SweepSpec::paper();
   eval::HarnessConfig config;
 
   for (int i = 1; i < argc; ++i) {
@@ -81,10 +83,10 @@ int main(int argc, char** argv) {
       pair_arg = v;
     } else if (arg == "--samples" && (v = value()) &&
                parse_int(v, &parsed)) {
-      config.samples_per_task = parsed;
+      spec.samples_per_task = parsed;
       samples_set = true;
     } else if (arg == "--seed" && (v = value())) {
-      config.seed = std::strtoull(v, nullptr, 0);
+      spec.seed = std::strtoull(v, nullptr, 0);
       seed_set = true;
     } else if (arg == "--threads" && (v = value()) &&
                parse_int(v, &parsed) && parsed >= 0) {
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
     }
   }
   if (shard_index < 0 || shard_count < 1 || shard_index >= shard_count ||
-      config.samples_per_task < 1) {
+      spec.samples_per_task < 1) {
     return usage(argv[0]);
   }
   if (!spec_path.empty() && (!pair_arg.empty() || samples_set || seed_set)) {
@@ -113,15 +115,11 @@ int main(int argc, char** argv) {
   }
 
   const eval::Suite& suite = eval::Suite::paper();
-  eval::SweepSpec spec;
   if (!spec_path.empty()) {
     if (!tools::load_spec_flag("sweep_worker", spec_path, suite, &spec)) {
       return 2;
     }
   } else {
-    spec = eval::SweepSpec::paper();
-    spec.samples_per_task = config.samples_per_task;
-    spec.seed = config.seed;
     if (!pair_arg.empty() && pair_arg != "all") {
       int index = -1;
       if (!parse_int(pair_arg.c_str(), &index) || index < 0 ||
@@ -143,7 +141,8 @@ int main(int argc, char** argv) {
   }
 
   std::optional<cache::Store> store;
-  eval::ScoreCache& cache = eval::ScoreCache::global();
+  eval::ScoreCache cache;
+  config.score_cache = &cache;
   if (!cache_dir.empty()) {
     if (!tools::open_cache_dir("sweep_worker", cache_dir, store)) return 1;
     const bool warm = cache.attach(*store, eval::scoring_pipeline_hash());
