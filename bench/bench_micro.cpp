@@ -14,7 +14,9 @@
 
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
+#include "buildsim/tucache.hpp"
 #include "cluster/dbscan.hpp"
+#include "codeanal/lexer.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "execsim/driver.hpp"
@@ -328,6 +330,45 @@ static void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_Crc32);
+
+// Every shipped implementation of every app, one Repo each.
+static std::vector<const vfs::Repo*> app_repos() {
+  std::vector<const vfs::Repo*> out;
+  for (const apps::AppSpec* app : apps::all_apps()) {
+    for (const auto& [model, repo] : app->repos) out.push_back(&repo);
+  }
+  return out;
+}
+
+static void BM_LexAppSources(benchmark::State& state) {
+  std::vector<std::string> sources;
+  std::int64_t bytes = 0;
+  for (const vfs::Repo* repo : app_repos()) {
+    for (const auto& f : repo->files()) {
+      bytes += static_cast<std::int64_t>(f.content.size());
+      sources.push_back(f.content);
+    }
+  }
+  for (auto _ : state) {
+    for (const std::string& src : sources) {
+      benchmark::DoNotOptimize(codeanal::lex(src));
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_LexAppSources);
+
+static void BM_RepoContentHash(benchmark::State& state) {
+  const std::vector<const vfs::Repo*> repos = app_repos();
+  for (auto _ : state) {
+    for (const vfs::Repo* repo : repos) {
+      benchmark::DoNotOptimize(buildsim::repo_content_hash(*repo));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(repos.size()));
+}
+BENCHMARK(BM_RepoContentHash);
 
 static void BM_Base64Decode(benchmark::State& state) {
   const std::string text =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "execsim/driver.hpp"
 #include "minic/objcodec.hpp"
@@ -91,10 +90,10 @@ std::uint64_t repo_content_hash(const vfs::Repo& repo) {
   // The exact algorithm is pinned by the golden scoring-pipeline-hash test
   // (eval::repo_content_hash forwards here).
   std::uint64_t h = 0x243f6a8885a308d3ULL;  // pi, for an asymmetric start
-  repo.for_each_file([&h](const std::string& path,
-                          const std::string& content) {
-    h = fold(h, support::stable_hash(path));
-    h = fold(h, support::stable_hash(content));
+  repo.for_each_hash([&h](std::uint64_t path_hash,
+                          std::uint64_t content_hash) {
+    h = fold(h, path_hash);
+    h = fold(h, content_hash);
   });
   return h;
 }
@@ -145,7 +144,7 @@ struct TuCompileCache::Impl {
 
   /// The repo input set one cached compile depends on. Immutable once
   /// built and shared by pointer, so lookups can snapshot candidates
-  /// under the shard lock and validate them (content hashing) outside it.
+  /// under the shard lock and validate them outside it.
   struct Manifest {
     std::vector<Dep> deps;             // resolved repo files, include order
     std::vector<std::string> missing;  // probed-but-absent repo paths
@@ -186,24 +185,12 @@ struct TuCompileCache::Impl {
   };
 
   /// Does `manifest` describe this repo's exact input set? Runs OUTSIDE
-  /// the shard lock (manifests are immutable and pointer-shared);
-  /// contents are hashed by reference, never copied, and `hash_memo`
-  /// (per-lookup, keyed by views into the candidate manifests) dedupes
-  /// hashing of files several candidates share.
-  static bool manifest_valid(
-      const vfs::Repo& repo, const Manifest& manifest,
-      std::unordered_map<std::string_view, std::uint64_t>& hash_memo) {
+  /// the shard lock (manifests are immutable and pointer-shared) and
+  /// compares the content hashes the repo stored at write().
+  static bool manifest_valid(const vfs::Repo& repo,
+                             const Manifest& manifest) {
     for (const Dep& dep : manifest.deps) {
-      const auto it = hash_memo.find(dep.path);
-      std::uint64_t h = 0;
-      if (it != hash_memo.end()) {
-        h = it->second;
-      } else {
-        if (!repo.exists(dep.path)) return false;
-        h = support::stable_hash(repo.at(dep.path));
-        hash_memo.emplace(dep.path, h);
-      }
-      if (h != dep.hash) return false;
+      if (repo.content_hash(dep.path) != dep.hash) return false;
     }
     for (const std::string& path : manifest.missing) {
       if (repo.exists(path)) return false;
@@ -351,17 +338,13 @@ struct TuCompileCache::Impl {
       for (const Entry& entry : *group) candidates.push_back(entry.manifest);
     });
 
-    // Validate outside the lock — content hashing must not serialize
-    // concurrent builds behind a shard mutex. The memo dedupes hashing of
-    // files several candidates share.
+    // Validate outside the lock, so concurrent builds never wait on a
+    // shard mutex while manifests are checked.
     std::shared_ptr<const Manifest> valid;
-    {
-      std::unordered_map<std::string_view, std::uint64_t> hash_memo;
-      for (const auto& manifest : candidates) {
-        if (manifest_valid(repo, *manifest, hash_memo)) {
-          valid = manifest;
-          break;
-        }
+    for (const auto& manifest : candidates) {
+      if (manifest_valid(repo, *manifest)) {
+        valid = manifest;
+        break;
       }
     }
     if (valid == nullptr) return nullptr;
@@ -434,7 +417,7 @@ struct TuCompileCache::Impl {
     for (const std::string& path : tu->resolved_files) {
       // Every resolved file was just read by the preprocessor, so it
       // exists.
-      manifest->deps.push_back({path, support::stable_hash(repo.at(path))});
+      manifest->deps.push_back({path, repo.content_hash(path).value()});
     }
     manifest->missing = tu->missing_probes;
     if (obj_key_out != nullptr) {

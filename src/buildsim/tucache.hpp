@@ -53,8 +53,9 @@ using TuDefines = std::vector<std::pair<std::string, std::string>>;
 
 /// Stable 64-bit content hash of a repository (paths + contents,
 /// length-delimited by construction: each (path, content) pair is folded
-/// through SplitMix64). eval::repo_content_hash forwards here; the
-/// algorithm is pinned by the golden scoring-pipeline-hash test.
+/// through SplitMix64), folded from the hashes vfs::Repo stores at
+/// write(). eval::repo_content_hash forwards here; the algorithm is pinned
+/// by the golden scoring-pipeline-hash test.
 std::uint64_t repo_content_hash(const vfs::Repo& repo);
 
 /// Primary TU cache key: (source path, source content hash, capabilities,

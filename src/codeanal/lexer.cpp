@@ -1,5 +1,6 @@
 #include "codeanal/lexer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 
@@ -58,179 +59,167 @@ std::string strip_comments(std::string_view src) {
 
 LexResult lex(std::string_view src) {
   LexResult result;
+  const std::size_t n = src.size();
   int line = 1, col = 1;
   std::size_t i = 0;
 
-  auto advance = [&](std::size_t n = 1) {
-    for (std::size_t k = 0; k < n && i < src.size(); ++k) {
-      if (src[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-      ++i;
-    }
+  // Move past src[i, j), which holds no newline.
+  auto skip_to = [&](std::size_t j) {
+    col += static_cast<int>(j - i);
+    i = j;
   };
-  auto push = [&](TokKind kind, std::string text, int tl, int tc) {
-    result.tokens.push_back(Token{kind, std::move(text), tl, tc, {}});
+  // Move past src[i, j), which may span lines.
+  auto move_to = [&](std::size_t j) {
+    const std::string_view run = src.substr(i, j - i);
+    const std::size_t last_nl = run.rfind('\n');
+    if (last_nl == std::string_view::npos) {
+      col += static_cast<int>(run.size());
+    } else {
+      line += static_cast<int>(std::count(run.begin(), run.end(), '\n'));
+      col = static_cast<int>(run.size() - last_nl);
+    }
+    i = j;
+  };
+  auto digits_end = [&](std::size_t j) {
+    while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
+    return j;
+  };
+  // Push src[begin, i) as one token starting at (line, tc).
+  auto push_slice = [&](TokKind kind, std::size_t begin, int tc) {
+    result.tokens.push_back(
+        Token{kind, std::string(src.substr(begin, i - begin)), line, tc, {}});
   };
 
   bool at_line_start = true;
-  while (i < src.size()) {
+  while (i < n) {
     const char c = src[i];
     if (c == '\n') {
       at_line_start = true;
-      advance();
+      ++line;
+      col = 1;
+      ++i;
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r') {
-      advance();
+      skip_to(i + 1);
       continue;
     }
     // Comments.
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      while (i < src.size() && src[i] != '\n') advance();
+    if (c == '/' && i + 1 < n && src[i + 1] == '/') {
+      skip_to(std::min(src.find('\n', i), n));
       continue;
     }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      const int start_line = line;
-      advance(2);
-      bool closed = false;
-      while (i < src.size()) {
-        if (src[i] == '*' && i + 1 < src.size() && src[i + 1] == '/') {
-          advance(2);
-          closed = true;
-          break;
-        }
-        advance();
-      }
-      if (!closed) {
-        result.errors.push_back({"unterminated block comment", start_line});
+    if (c == '/' && i + 1 < n && src[i + 1] == '*') {
+      const std::size_t close = src.find("*/", i + 2);
+      if (close == std::string_view::npos) {
+        result.errors.push_back({"unterminated block comment", line});
+        move_to(n);
+      } else {
+        move_to(close + 2);
       }
       continue;
     }
-    // Preprocessor lines (only when '#' is the first non-space on the line).
+    // Preprocessor lines (only when '#' is the first non-space on the
+    // line). Each backslash-newline folds to one space.
     if (c == '#' && at_line_start) {
       const int tl = line, tc = col;
       std::string text;
-      while (i < src.size()) {
-        if (src[i] == '\\' && i + 1 < src.size() && src[i + 1] == '\n') {
-          text += ' ';
-          advance(2);
-          continue;
+      std::size_t run = i;
+      for (;;) {
+        const std::size_t nl = std::min(src.find('\n', i), n);
+        if (nl == n || src[nl - 1] != '\\') {
+          skip_to(nl);
+          break;
         }
-        if (src[i] == '\n') break;
-        text += src[i];
-        advance();
+        text.append(src.substr(run, nl - 1 - run)).push_back(' ');
+        i = run = nl + 1;
+        ++line;
+        col = 1;
       }
-      push(TokKind::PpDirective, text, tl, tc);
+      text.append(src.substr(run, i - run));
+      result.tokens.push_back(
+          Token{TokKind::PpDirective, std::move(text), tl, tc, {}});
       continue;
     }
     at_line_start = false;
+    const std::size_t begin = i;
+    const int tc = col;
     // Identifiers / keywords.
     if (ident_start(c)) {
-      const int tl = line, tc = col;
-      std::string text;
-      while (i < src.size() && ident_char(src[i])) {
-        text += src[i];
-        advance();
-      }
-      push(TokKind::Identifier, std::move(text), tl, tc);
+      std::size_t j = i + 1;
+      while (j < n && ident_char(src[j])) ++j;
+      skip_to(j);
+      push_slice(TokKind::Identifier, begin, tc);
       continue;
     }
     // Numbers (also handles ".5" floats).
     if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < src.size() &&
+        (c == '.' && i + 1 < n &&
          std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
-      const int tl = line, tc = col;
-      std::string text;
       bool is_float = false;
-      if (c == '0' && i + 1 < src.size() &&
-          (src[i + 1] == 'x' || src[i + 1] == 'X')) {
-        text += src[i];
-        advance();
-        text += src[i];
-        advance();
-        while (i < src.size() &&
-               std::isxdigit(static_cast<unsigned char>(src[i]))) {
-          text += src[i];
-          advance();
+      std::size_t j = i;
+      if (c == '0' && i + 1 < n && (src[i + 1] == 'x' || src[i + 1] == 'X')) {
+        j += 2;
+        while (j < n && std::isxdigit(static_cast<unsigned char>(src[j]))) {
+          ++j;
         }
       } else {
-        while (i < src.size() &&
-               std::isdigit(static_cast<unsigned char>(src[i]))) {
-          text += src[i];
-          advance();
-        }
-        if (i < src.size() && src[i] == '.') {
+        j = digits_end(j);
+        if (j < n && src[j] == '.') {
           is_float = true;
-          text += src[i];
-          advance();
-          while (i < src.size() &&
-                 std::isdigit(static_cast<unsigned char>(src[i]))) {
-            text += src[i];
-            advance();
-          }
+          j = digits_end(j + 1);
         }
-        if (i < src.size() && (src[i] == 'e' || src[i] == 'E')) {
+        if (j < n && (src[j] == 'e' || src[j] == 'E')) {
           is_float = true;
-          text += src[i];
-          advance();
-          if (i < src.size() && (src[i] == '+' || src[i] == '-')) {
-            text += src[i];
-            advance();
-          }
-          while (i < src.size() &&
-                 std::isdigit(static_cast<unsigned char>(src[i]))) {
-            text += src[i];
-            advance();
-          }
+          ++j;
+          if (j < n && (src[j] == '+' || src[j] == '-')) ++j;
+          j = digits_end(j);
         }
       }
       // Suffixes: u, l, f (any order/case). 'f' forces float.
-      while (i < src.size() && (src[i] == 'u' || src[i] == 'U' ||
-                                src[i] == 'l' || src[i] == 'L' ||
-                                src[i] == 'f' || src[i] == 'F')) {
-        if (src[i] == 'f' || src[i] == 'F') is_float = true;
-        text += src[i];
-        advance();
+      while (j < n && (src[j] == 'u' || src[j] == 'U' || src[j] == 'l' ||
+                       src[j] == 'L' || src[j] == 'f' || src[j] == 'F')) {
+        if (src[j] == 'f' || src[j] == 'F') is_float = true;
+        ++j;
       }
-      push(is_float ? TokKind::FloatLit : TokKind::IntLit, std::move(text), tl,
-           tc);
+      skip_to(j);
+      push_slice(is_float ? TokKind::FloatLit : TokKind::IntLit, begin, tc);
       continue;
     }
-    // Strings and chars.
+    // Strings and chars: each run of plain bytes is appended at once.
     if (c == '"' || c == '\'') {
       const char quote = c;
-      const int tl = line, tc = col;
-      advance();
+      const int tl = line;
+      skip_to(i + 1);
       std::string value;
       bool closed = false;
-      while (i < src.size()) {
+      while (i < n) {
+        std::size_t j = i;
+        while (j < n && src[j] != quote && src[j] != '\n' && src[j] != '\\') {
+          ++j;
+        }
+        value.append(src.substr(i, j - i));
+        skip_to(j);
+        if (i == n || src[i] == '\n') break;
         if (src[i] == quote) {
-          advance();
+          skip_to(i + 1);
           closed = true;
           break;
         }
-        if (src[i] == '\n') break;
-        if (src[i] == '\\' && i + 1 < src.size()) {
-          advance();
-          switch (src[i]) {
-            case 'n': value += '\n'; break;
-            case 't': value += '\t'; break;
-            case 'r': value += '\r'; break;
-            case '0': value += '\0'; break;
-            case '\\': value += '\\'; break;
-            case '"': value += '"'; break;
-            case '\'': value += '\''; break;
-            default: value += src[i]; break;
-          }
-          advance();
-          continue;
+        if (i + 1 == n) {  // a backslash ending the source is plain
+          value += '\\';
+          skip_to(n);
+          break;
         }
-        value += src[i];
-        advance();
+        const char e = src[i + 1];
+        switch (e) {
+          case 'n': value += '\n'; break;
+          case 't': value += '\t'; break;
+          case 'r': value += '\r'; break;
+          case '0': value += '\0'; break;
+          default: value += e; break;  // \\, \", \' and unknown escapes
+        }
+        move_to(i + 2);  // an escaped newline continues the literal
       }
       if (!closed) {
         result.errors.push_back(
@@ -238,35 +227,27 @@ LexResult lex(std::string_view src) {
                           : "unterminated character literal",
              tl});
       }
-      push(quote == '"' ? TokKind::StringLit : TokKind::CharLit,
-           std::move(value), tl, tc);
+      result.tokens.push_back(Token{
+          quote == '"' ? TokKind::StringLit : TokKind::CharLit,
+          std::move(value), tl, tc, {}});
       continue;
     }
-    // Punctuators, longest first.
-    {
-      const int tl = line, tc = col;
-      std::string_view rest = src.substr(i);
-      std::string matched;
-      for (std::string_view p : kMultiPuncts) {
-        if (p.size() <= rest.size() && rest.substr(0, p.size()) == p) {
-          if (p.size() > matched.size()) matched = std::string(p);
-        }
-      }
-      if (!matched.empty()) {
-        advance(matched.size());
-        push(TokKind::Punct, std::move(matched), tl, tc);
-        continue;
-      }
-      static constexpr std::string_view kSingles = "+-*/%<>=!&|^~?:;,.(){}[]";
-      if (kSingles.find(c) != std::string_view::npos) {
-        advance();
-        push(TokKind::Punct, std::string(1, c), tl, tc);
-        continue;
-      }
-      result.errors.push_back(
-          {std::string("unexpected character '") + c + "'", line});
-      advance();
+    // Punctuators, longest first; only those starting with `c` can match.
+    std::size_t len = 0;
+    const std::string_view rest = src.substr(i);
+    for (std::string_view p : kMultiPuncts) {
+      if (p[0] == c && p.size() > len && rest.starts_with(p)) len = p.size();
     }
+    static constexpr std::string_view kSingles = "+-*/%<>=!&|^~?:;,.(){}[]";
+    if (len == 0 && kSingles.find(c) != std::string_view::npos) len = 1;
+    if (len != 0) {
+      skip_to(i + len);
+      push_slice(TokKind::Punct, begin, tc);
+      continue;
+    }
+    result.errors.push_back(
+        {std::string("unexpected character '") + c + "'", line});
+    skip_to(i + 1);
   }
   result.tokens.push_back(Token{TokKind::EndOfFile, "", line, col, {}});
   return result;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -253,6 +254,17 @@ bool u64_from_json(const Json& j, std::uint64_t* out) {
   return support::u64_from_hex(j.as_string(), out);
 }
 
+/// An integer in [0, INT_MAX]: no fraction, exponent or int64 overflow
+/// (all of which parse as doubles), and nothing an int cast would wrap.
+bool index_from_json(const Json& j, int* out) {
+  if (j.type() != Json::Type::Int || j.as_int() < 0 ||
+      j.as_int() > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(j.as_int());
+  return true;
+}
+
 }  // namespace
 
 Json to_json(const SampleRun& r) {
@@ -286,12 +298,9 @@ Json to_json(const SampleRecord& r) {
 }
 
 bool from_json(const Json& j, SampleRecord* out) {
-  if (!j.is_object() || !j["cell"].is_number() || !j["sample"].is_number()) {
-    return false;
-  }
-  out->cell = static_cast<int>(j["cell"].as_int());
-  out->sample = static_cast<int>(j["sample"].as_int());
-  return from_json(j["run"], &out->run);
+  return j.is_object() && index_from_json(j["cell"], &out->cell) &&
+         index_from_json(j["sample"], &out->sample) &&
+         from_json(j["run"], &out->run);
 }
 
 Json to_json(const SampleOutcome& o) {

@@ -96,7 +96,26 @@ Value Machine::execute(const Chunk& ch) {
   std::vector<LValue>& lvs = scratch->lvs;
   const Instr* const code = ch.code.data();
   std::size_t ip = 0;
+  // Both return temporaries, which die within the statement using them.
+  auto ref_to = [](VarSlot* slot) {
+    Value v;
+    v.kind = Value::Kind::Ref;
+    v.ref = slot;
+    return v;
+  };
+  auto take_args = [&regs](const Instr& I) {
+    std::vector<Value> args;
+    args.reserve(I.c);
+    for (unsigned short i = 0; i < I.c; ++i) {
+      args.push_back(std::move(regs[I.b + i]));
+    }
+    return args;
+  };
 
+  // No object with a destructor may be live at VM_NEXT() or VM_JUMP():
+  // GCC runs no destructors when a computed goto leaves a scope, so a case
+  // body keeps such locals in an inner block that closes before it
+  // dispatches.
 #ifdef PAREVAL_VM_CGOTO
   // Table order must match enum class Op exactly.
   static const void* const kJump[] = {
@@ -187,28 +206,30 @@ Value Machine::execute(const Chunk& ch) {
       VM_CASE(CheckDeref) : {
         const Instr& I = code[ip];
         const Value& p = regs[I.a];
-        LValue lv;
-        if (I.flag) {  // p[i]
-          if (p.kind != Value::Kind::Ptr) {
-            trap(DiagCategory::RuntimeFault,
-                 "subscript of a non-pointer value", I.line);
-          }
-          lv.kind = LValue::Kind::Cell;
-          lv.cell = p.ptr;
-          lv.cell.offset += regs[I.b].as_int();
-        } else {  // *p
-          if (p.kind == Value::Kind::Ref && p.ref != nullptr) {
-            lv.kind = LValue::Kind::Var;
-            lv.var = Found{p.ref, next_scope_id};  // local: never shadowed
-          } else if (p.kind != Value::Kind::Ptr) {
-            trap(DiagCategory::RuntimeFault,
-                 "indirection through a non-pointer value", I.line);
-          } else {
+        {
+          LValue lv;
+          if (I.flag) {  // p[i]
+            if (p.kind != Value::Kind::Ptr) {
+              trap(DiagCategory::RuntimeFault,
+                   "subscript of a non-pointer value", I.line);
+            }
             lv.kind = LValue::Kind::Cell;
             lv.cell = p.ptr;
+            lv.cell.offset += regs[I.b].as_int();
+          } else {  // *p
+            if (p.kind == Value::Kind::Ref && p.ref != nullptr) {
+              lv.kind = LValue::Kind::Var;
+              lv.var = Found{p.ref, next_scope_id};  // local: never shadowed
+            } else if (p.kind != Value::Kind::Ptr) {
+              trap(DiagCategory::RuntimeFault,
+                   "indirection through a non-pointer value", I.line);
+            } else {
+              lv.kind = LValue::Kind::Cell;
+              lv.cell = p.ptr;
+            }
           }
+          lvs.push_back(std::move(lv));
         }
-        lvs.push_back(std::move(lv));
         VM_NEXT();
       }
 
@@ -230,13 +251,15 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(CompoundLv) : {
         const Instr& I = code[ip];
-        const LValue lv = std::move(lvs.back());
-        lvs.pop_back();
-        const Value cur = lv_load(lv, I.line);
-        Value comb = compound_combine(static_cast<BinOp>(I.binop), cur,
-                                      regs[I.a], I.line);
-        lv_store(lv, comb, I.line);
-        regs[I.a] = std::move(comb);
+        {
+          const LValue lv = std::move(lvs.back());
+          lvs.pop_back();
+          const Value cur = lv_load(lv, I.line);
+          Value comb = compound_combine(static_cast<BinOp>(I.binop), cur,
+                                        regs[I.a], I.line);
+          lv_store(lv, comb, I.line);
+          regs[I.a] = std::move(comb);
+        }
         VM_NEXT();
       }
 
@@ -270,22 +293,21 @@ Value Machine::execute(const Chunk& ch) {
                    ch.names[static_cast<std::size_t>(I.imm)] + "'",
                I.line);
         }
-        Value out;
-        out.kind = Value::Kind::Ref;
-        out.ref = f.slot;
-        regs[I.a] = std::move(out);
+        regs[I.a] = ref_to(f.slot);
         VM_NEXT();
       }
 
       VM_CASE(AddrLv) : {
         const Instr& I = code[ip];
-        const LValue lv = std::move(lvs.back());
-        lvs.pop_back();
-        if (lv.kind != LValue::Kind::Cell) {
-          trap(DiagCategory::RuntimeFault,
-               "cannot take the address of this expression", I.line);
+        {
+          const LValue lv = std::move(lvs.back());
+          lvs.pop_back();
+          if (lv.kind != LValue::Kind::Cell) {
+            trap(DiagCategory::RuntimeFault,
+                 "cannot take the address of this expression", I.line);
+          }
+          regs[I.a] = Value::make_ptr(lv.cell);
         }
-        regs[I.a] = Value::make_ptr(lv.cell);
         VM_NEXT();
       }
 
@@ -366,13 +388,15 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(DeclVar) : {
         const Instr& I = code[ip];
-        VarSlot slot;
-        slot.type = ch.types[static_cast<std::size_t>(I.imm2)];
-        if (I.flag) {
-          slot.v = coerce_to_type(std::move(regs[I.a]), slot.type);
+        {
+          VarSlot slot;
+          slot.type = ch.types[static_cast<std::size_t>(I.imm2)];
+          if (I.flag) {
+            slot.v = coerce_to_type(std::move(regs[I.a]), slot.type);
+          }
+          declare(ch.names[static_cast<std::size_t>(I.imm)],
+                  std::move(slot));
         }
-        declare(ch.names[static_cast<std::size_t>(I.imm)],
-                std::move(slot));
         VM_NEXT();
       }
 
@@ -392,35 +416,30 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(CallGuard) : {
         const Instr& I = code[ip];
-        Value out;
-        if (try_call_var(*static_cast<const Expr*>(I.node), &out)) {
-          regs[I.a] = std::move(out);
-          VM_JUMP(I.imm);
+        bool called = false;
+        {
+          Value out;
+          called = try_call_var(*static_cast<const Expr*>(I.node), &out);
+          if (called) regs[I.a] = std::move(out);
         }
+        if (called) VM_JUMP(I.imm);
         VM_NEXT();
       }
 
       VM_CASE(CallFn) : {
         const Instr& I = code[ip];
-        std::vector<Value> args;
-        args.reserve(I.c);
-        for (unsigned short i = 0; i < I.c; ++i) {
-          args.push_back(std::move(regs[I.b + i]));
-        }
         regs[I.a] = call_function(*static_cast<const FunctionDecl*>(I.node),
-                                  std::move(args), I.line);
+                                  take_args(I), I.line);
         VM_NEXT();
       }
 
       VM_CASE(Builtin) : {
         const Instr& I = code[ip];
-        std::vector<Value> args;
-        args.reserve(I.c);
-        for (unsigned short i = 0; i < I.c; ++i) {
-          args.push_back(std::move(regs[I.b + i]));
+        {
+          std::vector<Value> args = take_args(I);
+          const BuiltinDef* bd = static_cast<const BuiltinDef*>(I.node);
+          regs[I.a] = bd->impl(*this, args, I.line);
         }
-        const BuiltinDef* bd = static_cast<const BuiltinDef*>(I.node);
-        regs[I.a] = bd->impl(*this, args, I.line);
         VM_NEXT();
       }
 
@@ -429,10 +448,7 @@ Value Machine::execute(const Chunk& ch) {
         const Found f =
             find_var(ch.names[static_cast<std::size_t>(I.imm)]);
         if (f.slot) {
-          Value r;
-          r.kind = Value::Kind::Ref;
-          r.ref = f.slot;
-          regs[I.a] = std::move(r);
+          regs[I.a] = ref_to(f.slot);
           VM_JUMP(I.imm2);
         }
         VM_NEXT();

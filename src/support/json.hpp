@@ -52,9 +52,13 @@ class Json {
   bool as_bool(bool fallback = false) const noexcept {
     return is_bool() ? bool_ : fallback;
   }
+  /// A Double truncates toward zero; one that is non-finite or outside
+  /// long long's range returns `fallback`, like a non-number.
   long long as_int(long long fallback = 0) const noexcept {
     if (type_ == Type::Int) return int_;
-    if (type_ == Type::Double) return static_cast<long long>(dbl_);
+    if (type_ == Type::Double && dbl_ >= -0x1p63 && dbl_ < 0x1p63) {
+      return static_cast<long long>(dbl_);
+    }
     return fallback;
   }
   double as_double(double fallback = 0.0) const noexcept {

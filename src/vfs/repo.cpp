@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::vfs {
@@ -54,7 +55,11 @@ Repo::Repo(std::vector<File> files) {
 }
 
 void Repo::write(std::string_view path, std::string content) {
-  files_[normalize_path(path)] = std::move(content);
+  std::string key = normalize_path(path);
+  const std::uint64_t path_hash = support::stable_hash(key);
+  const std::uint64_t content_hash = support::stable_hash(content);
+  files_.insert_or_assign(std::move(key),
+                          Stored{std::move(content), path_hash, content_hash});
 }
 
 bool Repo::remove(std::string_view path) {
@@ -68,7 +73,7 @@ bool Repo::exists(std::string_view path) const {
 std::optional<std::string> Repo::read(std::string_view path) const {
   const auto it = files_.find(normalize_path(path));
   if (it == files_.end()) return std::nullopt;
-  return it->second;
+  return it->second.content;
 }
 
 const std::string& Repo::at(std::string_view path) const {
@@ -76,7 +81,13 @@ const std::string& Repo::at(std::string_view path) const {
   if (it == files_.end()) {
     throw std::out_of_range("no such file in repo: " + std::string(path));
   }
-  return it->second;
+  return it->second.content;
+}
+
+std::optional<std::uint64_t> Repo::content_hash(std::string_view path) const {
+  const auto it = files_.find(normalize_path(path));
+  if (it == files_.end()) return std::nullopt;
+  return it->second.content_hash;
 }
 
 std::vector<std::string> Repo::paths() const {
@@ -89,7 +100,7 @@ std::vector<std::string> Repo::paths() const {
 std::vector<File> Repo::files() const {
   std::vector<File> out;
   out.reserve(files_.size());
-  for (const auto& [p, c] : files_) out.push_back({p, c});
+  for (const auto& [p, f] : files_) out.push_back({p, f.content});
   return out;
 }
 

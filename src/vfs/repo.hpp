@@ -3,7 +3,13 @@
 // translation output, and every build is expressed as a `Repo`: an ordered
 // map from repository-relative path to file contents. Nothing in the
 // evaluation pipeline touches the real filesystem.
+//
+// Each stored file carries the stable hashes of its path and content,
+// computed once when it is written and copied with the repo, so content
+// keys (buildsim::repo_content_hash, the TU manifests) never rehash bytes
+// that did not change.
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,6 +52,9 @@ class Repo {
   std::optional<std::string> read(std::string_view path) const;
   /// Throws std::out_of_range when absent.
   const std::string& at(std::string_view path) const;
+  /// support::stable_hash of the file's content, stored by write();
+  /// nullopt when absent.
+  std::optional<std::uint64_t> content_hash(std::string_view path) const;
 
   std::size_t file_count() const { return files_.size(); }
   bool empty() const { return files_.empty(); }
@@ -55,11 +64,11 @@ class Repo {
   /// Files in lexicographic path order.
   std::vector<File> files() const;
 
-  /// Visit (path, content) in lexicographic path order without copying —
-  /// the hot-path alternative to files() for hashing and scanning.
+  /// Visit each file's stored (stable_hash(path), stable_hash(content))
+  /// in lexicographic path order.
   template <class Fn>
-  void for_each_file(Fn&& fn) const {
-    for (const auto& [path, content] : files_) fn(path, content);
+  void for_each_hash(Fn&& fn) const {
+    for (const auto& [path, f] : files_) fn(f.path_hash, f.content_hash);
   }
 
   /// Render the "|--"/"+--" file tree used in translation prompts
@@ -69,7 +78,13 @@ class Repo {
   bool operator==(const Repo&) const = default;
 
  private:
-  std::map<std::string, std::string> files_;
+  struct Stored {
+    std::string content;
+    std::uint64_t path_hash = 0;
+    std::uint64_t content_hash = 0;
+    bool operator==(const Stored&) const = default;
+  };
+  std::map<std::string, Stored> files_;
 };
 
 }  // namespace pareval::vfs

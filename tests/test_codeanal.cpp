@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "apps/app.hpp"
 #include "codeanal/functions.hpp"
 #include "codeanal/includes.hpp"
 #include "codeanal/lexer.hpp"
 #include "codeanal/metrics.hpp"
+#include "support/rng.hpp"
+#include "translate/transpile.hpp"
 
 namespace ca = pareval::codeanal;
+namespace pa = pareval::apps;
+namespace ps = pareval::support;
 
 TEST(Lexer, BasicTokens) {
   const auto r = ca::lex("int x = 42 + y;");
@@ -79,6 +88,101 @@ TEST(Lexer, StripComments) {
   EXPECT_EQ(ca::strip_comments("a /* x */ b // y\nc"), "a  b \nc");
   // Comment markers inside strings are preserved.
   EXPECT_EQ(ca::strip_comments("\"//not\""), "\"//not\"");
+}
+
+namespace {
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return ps::SplitMix64(h ^ v).next();
+}
+
+/// Fold every token's kind, text, line and column, and every error's
+/// message and line, of one lex into `h`.
+std::uint64_t fold_lex(std::uint64_t h, const std::string& src) {
+  const auto r = ca::lex(src);
+  h = fold(h, r.tokens.size());
+  for (const auto& t : r.tokens) {
+    h = fold(h, static_cast<std::uint64_t>(t.kind));
+    h = fold(h, ps::stable_hash(t.text));
+    h = fold(h, static_cast<std::uint64_t>(t.line));
+    h = fold(h, static_cast<std::uint64_t>(t.col));
+  }
+  h = fold(h, r.errors.size());
+  for (const auto& e : r.errors) {
+    h = fold(h, ps::stable_hash(e.message));
+    h = fold(h, static_cast<std::uint64_t>(e.line));
+  }
+  return h;
+}
+
+/// Every file of every app's shipped implementations.
+std::vector<std::string> app_sources() {
+  std::vector<std::string> out;
+  for (const pa::AppSpec* app : pa::all_apps()) {
+    for (const auto& [model, repo] : app->repos) {
+      for (const auto& f : repo.files()) out.push_back(f.content);
+    }
+  }
+  return out;
+}
+
+/// `src` with 1-4 seeded edits: spliced snippets that stress the lexer's
+/// edge cases (continuations, unterminated comments and literals,
+/// non-ASCII and NUL bytes), random byte overwrites, and truncation.
+std::string mutate(std::string src, ps::Rng& rng) {
+  static const std::vector<std::string> kSplices = {
+      "\\\n", "\\", "\\\r\n", "/*", "*/", "//", "\"", "'", "\"a\\", "'\\",
+      "#", "\n#", "\n  #define X \\\n 1", "##", "\x80", "\xff",
+      "\xc3\xa9", std::string(1, '\0'), "0x", ".5e+", "1e", "1.f",
+      "<<<", ">>=", "->*", "...", "\r", "\t", "\n", "@", "`"};
+  const int edits = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = rng.next_below(src.size() + 1);
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 6) {
+      src.insert(at, kSplices[rng.next_below(kSplices.size())]);
+    } else if (kind < 9) {
+      if (at < src.size()) src[at] = static_cast<char>(rng.next_below(256));
+    } else {
+      src.resize(at);
+    }
+  }
+  return src;
+}
+
+}  // namespace
+
+// Pins the lexer's exact output (every token and every error) over the
+// app sources, their reference translations, and seeded mutations of the
+// sources.
+TEST(Lexer, GoldenDigestOverAppsTranslationsAndMutations) {
+  const std::vector<std::string> sources = app_sources();
+  std::uint64_t h = 0;
+  for (const std::string& src : sources) h = fold_lex(h, src);
+  EXPECT_EQ(h, 0x68c9f1ba0689172dULL) << std::hex << h;
+
+  h = 0;
+  const pa::Model kPairs[][2] = {
+      {pa::Model::Cuda, pa::Model::OmpOffload},
+      {pa::Model::Cuda, pa::Model::Kokkos},
+      {pa::Model::OmpThreads, pa::Model::OmpOffload}};
+  for (const pa::AppSpec* app : pa::all_apps()) {
+    for (const auto& pair : kPairs) {
+      if (app->repos.count(pair[0]) == 0) continue;
+      pareval::xlate::TranspileLog log;
+      const auto repo =
+          pareval::xlate::transpile_repo(*app, pair[0], pair[1], log);
+      for (const auto& f : repo.files()) h = fold_lex(h, f.content);
+    }
+  }
+  EXPECT_EQ(h, 0xfafff6020f6b4fc5ULL) << std::hex << h;
+
+  h = 0;
+  ps::Rng rng(20251019);
+  for (const std::string& src : sources) {
+    for (int m = 0; m < 24; ++m) h = fold_lex(h, mutate(src, rng));
+  }
+  EXPECT_EQ(h, 0xaffcac691b6b3c9dULL) << std::hex << h;
 }
 
 TEST(Metrics, SlocCountsNonBlankNonComment) {

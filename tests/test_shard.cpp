@@ -315,6 +315,22 @@ TEST(ShardJson, RejectsMalformedInput) {
   EXPECT_FALSE(pe::parse_shard_file("{]", &shards, &error));
   EXPECT_FALSE(pe::parse_shard_file("{\"format\":\"other\"}", &shards,
                                     &error));
+
+  // A record's cell and sample are JSON integers in [0, INT_MAX].
+  pe::SampleRecord rec;
+  const auto good = pe::to_json(pe::SampleRecord{3, 1, {}});
+  ASSERT_TRUE(pe::from_json(good, &rec));
+  EXPECT_EQ(rec.cell, 3);
+  EXPECT_EQ(rec.sample, 1);
+  for (const char* field : {"cell", "sample"}) {
+    for (const ps::Json& bad :
+         {ps::Json(1e300), ps::Json(-1e300), ps::Json(1.5), ps::Json(2.0),
+          ps::Json(-1), ps::Json(2147483648LL), ps::Json("1")}) {
+      auto j = good;
+      j.set(field, bad);
+      EXPECT_FALSE(pe::from_json(j, &rec)) << field << " = " << bad.dump();
+    }
+  }
 }
 
 TEST(ScoreCachePersist, VersionMismatchDiscardsStaleStore) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -198,6 +200,21 @@ TEST(Json, IntegersAreExact) {
   // Beyond double's 2^53 integer range: must not round.
   EXPECT_EQ(j->at(0).as_int(), 9007199254740993LL);
   EXPECT_EQ(j->at(1).as_int(), -9007199254740993LL);
+
+  // A double truncates toward zero while it fits in long long; outside
+  // that range, or non-finite, it reads as the fallback.
+  const auto d = ps::Json::parse("[2.9,-2.9,1e300,-1e300,9.3e18,-9.2e18]");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->at(0).as_int(7), 2);
+  EXPECT_EQ(d->at(1).as_int(7), -2);
+  EXPECT_EQ(d->at(2).as_int(7), 7);
+  EXPECT_EQ(d->at(3).as_int(7), 7);
+  EXPECT_EQ(d->at(4).as_int(7), 7);
+  EXPECT_EQ(d->at(5).as_int(7), -9200000000000000000LL);
+  EXPECT_EQ(ps::Json(-0x1p63).as_int(7), LLONG_MIN);
+  EXPECT_EQ(ps::Json(0x1p63).as_int(7), 7);
+  EXPECT_EQ(ps::Json(std::numeric_limits<double>::infinity()).as_int(7), 7);
+  EXPECT_EQ(ps::Json(std::numeric_limits<double>::quiet_NaN()).as_int(7), 7);
 }
 
 TEST(Json, DoublesRoundTripBitExactly) {

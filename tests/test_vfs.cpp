@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "buildsim/tucache.hpp"
+#include "support/rng.hpp"
 #include "vfs/repo.hpp"
 
 namespace pv = pareval::vfs;
+namespace ps = pareval::support;
 
 TEST(Paths, Normalize) {
   EXPECT_EQ(pv::normalize_path("./src/../src/main.cpp"), "src/main.cpp");
@@ -73,4 +78,57 @@ TEST(Repo, EqualityIsContentBased) {
   EXPECT_EQ(a, b);
   b.write("x", "2");
   EXPECT_NE(a, b);
+}
+
+namespace {
+
+/// repo_content_hash recomputed from the file bytes alone.
+std::uint64_t content_hash_from_scratch(const pv::Repo& r) {
+  std::uint64_t h = 0x243f6a8885a308d3ULL;
+  for (const auto& f : r.files()) {
+    h = ps::SplitMix64(h ^ ps::stable_hash(f.path)).next();
+    h = ps::SplitMix64(h ^ ps::stable_hash(f.content)).next();
+  }
+  return h;
+}
+
+}  // namespace
+
+// The repo stores each file's hashes at write(); every mutation and copy
+// must keep repo_content_hash equal to a fold over the bytes.
+TEST(Repo, StoredHashesMatchAFoldFromScratch) {
+  auto expect_exact = [](const pv::Repo& repo) {
+    EXPECT_EQ(pareval::buildsim::repo_content_hash(repo),
+              content_hash_from_scratch(repo));
+  };
+  pv::Repo r;
+  expect_exact(r);
+  r.write("src/main.cpp", "int main() {}");
+  r.write("src/util.h", "#pragma once\n");
+  expect_exact(r);
+  r.write("src/main.cpp", "int main() { return 1; }");  // overwrite
+  expect_exact(r);
+  ASSERT_TRUE(r.remove("src/util.h"));
+  expect_exact(r);
+  pv::Repo copy = r;
+  copy.write("b.cpp", "x");
+  expect_exact(copy);
+  expect_exact(r);
+  r = copy;
+  expect_exact(r);
+  r.write("./a//b.cpp", "y");  // stored and hashed as "a/b.cpp"
+  ASSERT_TRUE(r.exists("a/b.cpp"));
+  expect_exact(r);
+  expect_exact(pv::Repo(r.files()));
+}
+
+TEST(Repo, ContentHashIsTheStoredStableHash) {
+  pv::Repo r;
+  r.write("./src//k.cu", "__global__ void k() {}");
+  EXPECT_EQ(r.content_hash("src/k.cu"),
+            ps::stable_hash(std::string("__global__ void k() {}")));
+  EXPECT_EQ(r.content_hash("src/./k.cu"), r.content_hash("src/k.cu"));
+  EXPECT_FALSE(r.content_hash("src/absent.cu").has_value());
+  r.write("src/k.cu", "");
+  EXPECT_EQ(r.content_hash("src/k.cu"), ps::stable_hash(std::string()));
 }
