@@ -18,6 +18,7 @@ struct FunctionSpan {
   std::size_t head_begin = 0;  // token index of the declarator start
   std::size_t body_begin = 0;  // token index just after '{'
   std::size_t body_end = 0;    // token index of the matching '}'
+  bool operator==(const FunctionSpan&) const = default;
 };
 
 /// Find all top-level function definitions (depth-0 `name(...) {`).

@@ -19,8 +19,12 @@ bool is_source_path(const std::string& path) {
 }  // namespace
 
 std::vector<IncludeRef> scan_includes(std::string_view source) {
+  return scan_includes(lex(source).tokens);
+}
+
+std::vector<IncludeRef> scan_includes(const std::vector<Token>& toks) {
   std::vector<IncludeRef> out;
-  for (const Token& t : lex(source).tokens) {
+  for (const Token& t : toks) {
     if (t.kind != TokKind::PpDirective) continue;
     std::string_view body = support::trim(t.text);
     if (!body.starts_with("#")) continue;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "codeanal/lexer.hpp"
 #include "vfs/repo.hpp"
 
 namespace pareval::codeanal {
@@ -18,10 +19,13 @@ struct IncludeRef {
   std::string target;  // as written, e.g. "kernel.h" or <cstdio>
   bool angled = false; // <...> (system) vs "..." (repo-relative)
   int line = 0;
+  bool operator==(const IncludeRef&) const = default;
 };
 
 /// All #include directives in one source text.
 std::vector<IncludeRef> scan_includes(std::string_view source);
+/// The same, read from the PpDirective tokens of an existing lex.
+std::vector<IncludeRef> scan_includes(const std::vector<Token>& toks);
 
 /// The per-repository include graph over repo files. System includes are
 /// recorded but produce no edges.

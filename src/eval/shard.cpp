@@ -380,11 +380,13 @@ bool from_json(const Json& j, TaskResult* out) {
   out->app = j["app"].as_string();
   out->ran = j["ran"].as_bool();
   out->abort_reason = j["abort_reason"].as_string();
-  out->samples = static_cast<int>(j["samples"].as_int());
-  out->built_overall = static_cast<int>(j["built_overall"].as_int());
-  out->passed_overall = static_cast<int>(j["passed_overall"].as_int());
-  out->built_codeonly = static_cast<int>(j["built_codeonly"].as_int());
-  out->passed_codeonly = static_cast<int>(j["passed_codeonly"].as_int());
+  if (!index_from_json(j["samples"], &out->samples) ||
+      !index_from_json(j["built_overall"], &out->built_overall) ||
+      !index_from_json(j["passed_overall"], &out->passed_overall) ||
+      !index_from_json(j["built_codeonly"], &out->built_codeonly) ||
+      !index_from_json(j["passed_codeonly"], &out->passed_codeonly)) {
+    return false;
+  }
   out->avg_tokens = j["avg_tokens"].as_double();
   out->outcomes.clear();
   for (const Json& o : j["outcomes"].items()) {
@@ -427,11 +429,10 @@ bool from_json(const Json& j, ShardResult* out) {
   if (!u64_from_json(j["suite_fingerprint"], &out->suite_fingerprint)) {
     return false;
   }
-  if (!j["shard_index"].is_number() || !j["shard_count"].is_number()) {
+  if (!index_from_json(j["shard_index"], &out->shard_index) ||
+      !index_from_json(j["shard_count"], &out->shard_count)) {
     return false;
   }
-  out->shard_index = static_cast<int>(j["shard_index"].as_int());
-  out->shard_count = static_cast<int>(j["shard_count"].as_int());
   out->records.clear();
   for (const Json& r : j["records"].items()) {
     SampleRecord rec;

@@ -1,6 +1,7 @@
 #pragma once
 // support::ShardedCache — the one in-memory memo table under every cache
-// layer (score, build artifact, TU compile, link). Keys spread over 16
+// layer (score, build artifact, TU compile, link) and under the defect
+// mutators' file-facts memo (xlate::file_facts). Keys spread over 16
 // mutex-guarded shards so the harness's parallel samples do not queue on
 // one lock; each shard holds at most capacity/16 entries (minimum one) and
 // evicts its least-recently-used entry on overflow.
@@ -81,8 +82,8 @@ class ShardedCache {
   /// Waiting blocks the thread; it does not help run pool tasks. That is
   /// deadlock-free only because no compute submits or helps run
   /// ThreadPool work while it owns a flight: score -> build -> TU -> link
-  /// computes never touch the pool, and each layer's compute only claims
-  /// flights of the layers below it.
+  /// computes and the file-facts lex never touch the pool, and each
+  /// layer's compute only claims flights of the layers below it.
   template <class Fn>
   V get_or_compute(const K& key, Fn&& fn) {
     Shard& shard = shard_for(key);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "codeanal/functions.hpp"
-#include "codeanal/includes.hpp"
 #include "codeanal/lexer.hpp"
+#include "support/sharded_cache.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::xlate {
@@ -172,9 +171,8 @@ DefectOutcome invalid_flag(vfs::Repo& repo, Rng& rng) {
 
 DefectOutcome missing_header(vfs::Repo& repo, Rng& rng) {
   for (const auto& path : source_paths(repo, rng)) {
-    const std::string& text = repo.at(path);
-    for (const auto& inc : codeanal::scan_includes(text)) {
-      if (inc.angled) continue;
+    const auto facts = file_facts(repo, path);
+    for (const auto& inc : facts->quoted_includes) {
       auto out = replace_somewhere(
           repo, path, "\"" + inc.target + "\"",
           "\"" + inc.target + ".orig\"", rng,
@@ -210,8 +208,8 @@ DefectOutcome undeclared_id(vfs::Repo& repo, Rng& rng) {
   // failure.
   for (const auto& path : source_paths(repo, rng)) {
     const std::string& text = repo.at(path);
-    const auto lexed = codeanal::lex(text);
-    for (const auto& fn : codeanal::find_functions(lexed.tokens)) {
+    const auto facts = file_facts(repo, path);
+    for (const auto& fn : facts->functions) {
       if (fn.name == "main") continue;
       // Only worthwhile if the name is used elsewhere too.
       std::size_t uses = 0;
@@ -250,8 +248,8 @@ DefectOutcome arg_mismatch(vfs::Repo& repo, Rng& rng) {
   std::vector<std::string> defined;
   for (const auto& path : repo.paths()) {
     if (!is_source_file(path)) continue;
-    const auto lexed = codeanal::lex(repo.at(path));
-    for (const auto& fn : codeanal::find_functions(lexed.tokens)) {
+    const auto facts = file_facts(repo, path);
+    for (const auto& fn : facts->functions) {
       if (fn.name != "main") defined.push_back(fn.name);
     }
   }
@@ -318,9 +316,8 @@ DefectOutcome link_error(vfs::Repo& repo, Rng& rng) {
     const std::string ext = vfs::extension(path);
     if (ext == ".h" || ext == ".hpp" || ext == ".cuh") continue;
     const std::string& text = repo.at(path);
-    const auto lexed = codeanal::lex(text);
-    const auto fns = codeanal::find_functions(lexed.tokens);
-    for (const auto& fn : fns) {
+    const auto facts = file_facts(repo, path);
+    for (const auto& fn : facts->functions) {
       if (fn.name == "main") continue;
       bool used_elsewhere = false;
       for (const auto& other : repo.paths()) {
@@ -379,6 +376,28 @@ DefectOutcome semantic(vfs::Repo& repo, Rng& rng) {
 }
 
 }  // namespace
+
+std::shared_ptr<const FileFacts> file_facts(const vfs::Repo& repo,
+                                            const std::string& path) {
+  // Keyed on content alone, since both facts are pure functions of the
+  // text: files with equal bytes share an entry whatever their path, and a
+  // file an earlier defect step edited has a new hash, so it lexes fresh.
+  // The bound keeps reference files (hit on every sample) and drops the
+  // one-off edited ones. The compute never touches the ThreadPool while it
+  // owns a flight (the deadlock rule in support/sharded_cache.hpp).
+  static support::ShardedCache<std::uint64_t, std::shared_ptr<const FileFacts>>
+      memo{1 << 10};
+  const std::string& text = repo.at(path);
+  return memo.get_or_compute(*repo.content_hash(path), [&] {
+    const codeanal::LexResult lexed = codeanal::lex(text);
+    auto facts = std::make_shared<FileFacts>();
+    facts->functions = codeanal::find_functions(lexed.tokens);
+    for (auto& inc : codeanal::scan_includes(lexed.tokens)) {
+      if (!inc.angled) facts->quoted_includes.push_back(std::move(inc));
+    }
+    return std::shared_ptr<const FileFacts>(std::move(facts));
+  });
+}
 
 const char* defect_name(DefectKind k) {
   switch (k) {

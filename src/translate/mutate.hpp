@@ -6,9 +6,12 @@
 // simulated-LLM layer picks categories with per-(LLM, app) weights
 // calibrated from Figure 3.
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "codeanal/functions.hpp"
+#include "codeanal/includes.hpp"
 #include "support/rng.hpp"
 #include "vfs/repo.hpp"
 
@@ -46,6 +49,22 @@ struct DefectOutcome {
 /// applied=false when the repo has no viable site for this kind.
 DefectOutcome inject_defect(vfs::Repo& repo, DefectKind kind,
                             support::Rng& rng);
+
+/// What the lexing mutators read of one source file, all taken from a
+/// single lex of it: its function definitions and its quoted includes.
+struct FileFacts {
+  std::vector<codeanal::FunctionSpan> functions;
+  std::vector<codeanal::IncludeRef> quoted_includes;
+};
+
+/// The facts of `repo`'s file at `path` (throws std::out_of_range when
+/// absent), served from a process-wide LRU memo keyed on the file's
+/// content hash: a reference translation lexes once, not once per sample.
+/// Keep the returned pointer in a local for as long as you read the facts:
+/// the memo may evict the entry at any time, and a range-for over
+/// `file_facts(...)->functions` would drop the only other owner first.
+std::shared_ptr<const FileFacts> file_facts(const vfs::Repo& repo,
+                                            const std::string& path);
 
 /// All kinds, in Figure 3 row order (Semantic last; it is not a build
 /// error category in the paper's figure).

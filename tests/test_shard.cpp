@@ -331,6 +331,35 @@ TEST(ShardJson, RejectsMalformedInput) {
       EXPECT_FALSE(pe::from_json(j, &rec)) << field << " = " << bad.dump();
     }
   }
+
+  // So are a task's counters and a shard's index and count: a fraction, a
+  // negative and an int-wrapping value are rejected, not cast.
+  const std::vector<ps::Json> bad_counts = {ps::Json(2.5), ps::Json(-1),
+                                            ps::Json(4294967296LL)};
+  const auto task = pe::to_json(pe::TaskResult{});
+  ASSERT_TRUE(pe::from_json(task, &t));
+  for (const char* field : {"samples", "built_overall", "passed_overall",
+                            "built_codeonly", "passed_codeonly"}) {
+    for (const ps::Json& bad : bad_counts) {
+      auto j = task;
+      j.set(field, bad);
+      EXPECT_FALSE(pe::from_json(j, &t)) << field << " = " << bad.dump();
+    }
+  }
+  pe::ShardResult shard;
+  shard.spec = pair_zero_spec();
+  shard.shard_count = 1;
+  const auto shard_json = pe::to_json(shard);
+  pe::ShardResult parsed;
+  ASSERT_TRUE(pe::from_json(shard_json, &parsed));
+  EXPECT_EQ(parsed, shard);
+  for (const char* field : {"shard_index", "shard_count"}) {
+    for (const ps::Json& bad : bad_counts) {
+      auto j = shard_json;
+      j.set(field, bad);
+      EXPECT_FALSE(pe::from_json(j, &parsed)) << field << " = " << bad.dump();
+    }
+  }
 }
 
 TEST(ScoreCachePersist, VersionMismatchDiscardsStaleStore) {

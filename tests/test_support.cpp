@@ -538,7 +538,9 @@ TEST(Hex, ParsesExactlyWhatTheBranchingParserDid) {
         const bool ok = ps::u64_from_hex(text, &got);
         const auto want = oracle_u64_from_hex(text);
         ASSERT_EQ(ok, want.has_value()) << "byte " << b << " at " << pos;
-        if (ok) ASSERT_EQ(got, *want) << text;
+        if (ok) {
+          ASSERT_EQ(got, *want) << text;
+        }
       }
     }
   }

@@ -3,12 +3,15 @@
 // toolchains, run on the device, and match the app's golden outputs. The
 // defect mutators must then create exactly the failure class they claim.
 // The per-cell memo behind agents::run_technique must agree with a fresh
-// token model, and with itself when pool threads race on a cold cell.
+// token model, and with itself when pool threads race on a cold cell; the
+// file-facts memo behind the lexing mutators must agree with a fresh lex;
+// and a golden digest pins generation over every paper cell byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "agents/techniques.hpp"
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
+#include "codeanal/lexer.hpp"
 #include "eval/harness.hpp"
 #include "eval/spec.hpp"
 #include "eval/suite.hpp"
@@ -24,6 +28,7 @@
 #include "translate/transpile.hpp"
 
 namespace ag = pareval::agents;
+namespace ca = pareval::codeanal;
 namespace pa = pareval::apps;
 namespace bs = pareval::buildsim;
 namespace pe = pareval::eval;
@@ -225,6 +230,62 @@ TEST(CellMemo, ConcurrentCallsOnAColdCellAllAgree) {
   }
 }
 
+// -------------------------------------------------- generation golden ---
+
+namespace {
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return pareval::support::SplitMix64(h ^ v).next();
+}
+
+}  // namespace
+
+TEST(Generation, GoldenDigestOverPaperCellsAndSamples) {
+  // Samples 0-2 of every paper cell, each with its own fixed seed: every
+  // generated repository (path and content hashes), defect description and
+  // token count is folded in, so any change to generation shows here.
+  const pe::Suite& suite = pe::Suite::paper();
+  std::uint64_t h = 0;
+  std::uint64_t seed = 0;
+  std::size_t generated = 0;
+  // Defects from the four mutators that read file_facts, so the digest
+  // covers the memo's path: MissingHeader, UndeclaredId, ArgMismatch,
+  // LinkError.
+  const char* kLexed[] = {"retargeted to a missing file",
+                          "renamed at its definition only",
+                          "last argument dropped", "definition of '"};
+  std::size_t lexed[std::size(kLexed)] = {};
+  for (const auto& cell : pe::sweep_cells(suite, pe::SweepSpec::paper())) {
+    const auto scores = suite.calibration(cell.profile->name, cell.technique,
+                                          cell.pair, cell.app->name);
+    for (int sample = 0; sample < 3; ++sample) {
+      pareval::support::Rng rng(++seed);
+      const auto r = ag::run_technique(*cell.app, cell.technique,
+                                       *cell.profile, cell.pair, rng, scores,
+                                       "absent");
+      h = fold(h, r.generated);
+      r.repo.for_each_hash([&](std::uint64_t path, std::uint64_t content) {
+        h = fold(fold(h, path), content);
+      });
+      h = fold(h, r.defects.size());
+      for (const auto& d : r.defects) {
+        h = fold(h, pareval::support::stable_hash(d));
+        for (std::size_t k = 0; k < std::size(kLexed); ++k) {
+          lexed[k] += d.find(kLexed[k]) != std::string::npos ? 1 : 0;
+        }
+      }
+      h = fold(h, static_cast<std::uint64_t>(r.input_tokens));
+      h = fold(h, static_cast<std::uint64_t>(r.output_tokens));
+      generated += r.generated ? 1 : 0;
+    }
+  }
+  EXPECT_GT(generated, 300u);
+  for (std::size_t k = 0; k < std::size(kLexed); ++k) {
+    EXPECT_GT(lexed[k], 0u) << kLexed[k];
+  }
+  EXPECT_EQ(h, 0xfc4ebd3d392c9bc9ULL) << std::hex << h;
+}
+
 // ----------------------------------------------------------- mutators ---
 
 namespace {
@@ -247,7 +308,134 @@ pareval::vfs::Repo translated_microxor_omp() {
                             pa::Model::OmpOffload, log);
 }
 
+/// The last .cpp path of a repo, or "" when it has none.
+std::string last_cpp_path(const pareval::vfs::Repo& repo) {
+  std::string path;
+  for (const auto& p : repo.paths()) {
+    if (p.ends_with(".cpp")) path = p;
+  }
+  return path;
+}
+
+/// The facts a fresh lex of `text` gives, with no memo in the way.
+px::FileFacts fresh_facts(const std::string& text) {
+  px::FileFacts facts;
+  facts.functions = ca::find_functions(ca::lex(text).tokens);
+  for (const auto& inc : ca::scan_includes(text)) {
+    if (!inc.angled) facts.quoted_includes.push_back(inc);
+  }
+  return facts;
+}
+
+void expect_fresh_facts(const px::FileFacts& got, const std::string& text,
+                        const std::string& label) {
+  const px::FileFacts want = fresh_facts(text);
+  EXPECT_EQ(got.functions, want.functions) << label;
+  EXPECT_EQ(got.quoted_includes, want.quoted_includes) << label;
+}
+
 }  // namespace
+
+TEST(Mutators, FileFactsMemoMatchesAFreshLex) {
+  const pe::Suite& suite = pe::Suite::paper();
+  std::size_t functions = 0, includes = 0;
+  auto check = [&](const pareval::vfs::Repo& repo, const std::string& what) {
+    for (const auto& path : repo.paths()) {
+      const auto facts = px::file_facts(repo, path);
+      expect_fresh_facts(*facts, repo.at(path), what + ":" + path);
+      // A second lookup is served from the memo: the same entry.
+      EXPECT_EQ(px::file_facts(repo, path).get(), facts.get()) << path;
+      functions += facts->functions.size();
+      includes += facts->quoted_includes.size();
+    }
+  };
+  for (const pa::AppSpec* app : suite.apps()) {
+    for (const auto& [model, repo] : app->repos) {
+      check(repo, app->name + "/" + pa::model_name(model));
+    }
+    for (const auto& pair : suite.pairs()) {
+      if (app->repos.count(pair.from) == 0) continue;
+      px::TranspileLog log;
+      check(px::transpile_repo(*app, pair.from, pair.to, log),
+            app->name + "/" + pareval::llm::pair_name(pair));
+    }
+  }
+  EXPECT_GT(functions, 0u);
+  EXPECT_GT(includes, 0u);
+
+  // Rewriting a file between two lookups gives the new content's facts,
+  // and restoring its bytes finds the old entry again.
+  auto repo = translated_microxor_omp();
+  const std::string path = last_cpp_path(repo);
+  ASSERT_FALSE(path.empty());
+  const std::string original = repo.at(path);
+  const auto before = px::file_facts(repo, path);
+  repo.write(path, "#include \"facts_rewrite.h\"\n" + original +
+                       "\nint facts_rewrite(int x) { return x; }\n");
+  const auto after = px::file_facts(repo, path);
+  expect_fresh_facts(*after, repo.at(path), "rewritten " + path);
+  ASSERT_EQ(after->functions.size(), before->functions.size() + 1);
+  EXPECT_EQ(after->functions.back().name, "facts_rewrite");
+  ASSERT_FALSE(after->quoted_includes.empty());
+  EXPECT_EQ(after->quoted_includes.front().target, "facts_rewrite.h");
+  repo.write(path, original);
+  EXPECT_EQ(px::file_facts(repo, path).get(), before.get());
+}
+
+TEST(Mutators, FileFactsHeldPastEvictionStayIntact) {
+  pareval::vfs::Repo repo = translated_microxor_omp();
+  const std::string path = last_cpp_path(repo);
+  ASSERT_FALSE(path.empty());
+  const std::string original = repo.at(path);
+  const auto held = px::file_facts(repo, path);
+
+  // Four times the memo's 1024 entries of distinct contents overflow every
+  // shard, the held entry's included, so the memo drops its owner.
+  for (int i = 0; i < 4096; ++i) {
+    repo.write(path, "int facts_evict_" + std::to_string(i) + "() {}\n");
+    px::file_facts(repo, path);
+  }
+  repo.write(path, original);
+  EXPECT_NE(px::file_facts(repo, path).get(), held.get())
+      << "the flood did not evict the held entry";
+  // The held owner outlived the eviction: its facts read as a fresh lex.
+  expect_fresh_facts(*held, original, path);
+}
+
+TEST(Mutators, FileFactsConcurrentLookupsOnAColdFileAllAgree) {
+  // A file no other test builds, so its entry starts cold and every pool
+  // thread races to fill it.
+  pareval::vfs::Repo repo = translated_microxor_omp();
+  const std::string path = last_cpp_path(repo);
+  ASSERT_FALSE(path.empty());
+  repo.write(path, "#define FILE_FACTS_RACE 1\n" + repo.at(path));
+
+  pareval::support::ThreadPool& pool = pareval::support::ThreadPool::global();
+  const unsigned threads = pool.worker_count();
+  std::atomic<unsigned> arrived{0};
+  std::vector<std::future<std::shared_ptr<const px::FileFacts>>> futures;
+  for (unsigned i = 0; i < threads; ++i) {
+    futures.push_back(pool.submit([&] {
+      ++arrived;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (arrived.load() < threads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return px::file_facts(repo, path);
+    }));
+  }
+  std::vector<std::shared_ptr<const px::FileFacts>> results;
+  for (auto& f : futures) results.push_back(f.get());
+
+  ASSERT_FALSE(results.empty());
+  expect_fresh_facts(*results.front(), repo.at(path), path);
+  for (const auto& r : results) {
+    // One flight computed the entry; every racer reads that same value.
+    EXPECT_EQ(r.get(), results.front().get());
+  }
+}
 
 TEST(Mutators, MakefileSyntaxBreaksBuildAsItsCategory) {
   auto repo = translated_nanoxor_omp();
