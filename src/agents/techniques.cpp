@@ -3,12 +3,11 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "buildsim/tucache.hpp"
 #include "codeanal/functions.hpp"
 #include "codeanal/includes.hpp"
+#include "support/sharded_cache.hpp"
 #include "support/strings.hpp"
 #include "text/tokens.hpp"
 #include "translate/mutate.hpp"
@@ -237,42 +236,39 @@ std::uint64_t cell_key(std::uint64_t translation, const AppSpec& app,
 
 /// Process-wide memo of cell entries, keyed on content rather than names
 /// so a re-registered app or profile gets a fresh entry. Translations are
-/// shared across the cells of one (app, pair). Concurrent misses on one
-/// key compute the same pure value; the first insert wins.
+/// shared across the cells of one (app, pair). Both tables are
+/// single-flight, so concurrent cold misses transpile a translation once.
+///
+/// The paper spec generates 143 cells over 15 (app, pair) translations
+/// (ci_subset: 52 over 8). The bounds give each of the 16 shards room for
+/// 16 translations and 256 cells, so even if every key landed in one
+/// shard, these specs would evict nothing.
+/// Neither compute touches the ThreadPool while it owns a flight (the
+/// deadlock rule in support/sharded_cache.hpp); a cell's compute claims
+/// only translation flights below it.
 std::shared_ptr<const CellEntry> cell_entry(const AppSpec& app,
                                             Technique technique,
                                             const LlmProfile& profile,
                                             const Pair& pair) {
-  static std::shared_mutex mu;
-  static std::unordered_map<std::uint64_t, std::shared_ptr<const vfs::Repo>>
-      translations;
-  static std::unordered_map<std::uint64_t, std::shared_ptr<const CellEntry>>
-      cells;
+  static support::ShardedCache<std::uint64_t,
+                               std::shared_ptr<const vfs::Repo>>
+      translations{1 << 8};
+  static support::ShardedCache<std::uint64_t, std::shared_ptr<const CellEntry>>
+      cells{1 << 12};
 
   const vfs::Repo& src = app.repos.at(pair.from);
   const std::uint64_t xkey = translation_key(app, src, pair);
-  const std::uint64_t key = cell_key(xkey, app, technique, profile);
-  std::shared_ptr<const vfs::Repo> translated;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu);
-    if (const auto hit = cells.find(key); hit != cells.end()) {
-      return hit->second;
-    }
-    if (const auto hit = translations.find(xkey); hit != translations.end()) {
-      translated = hit->second;
-    }
-  }
-  if (!translated) {
-    xlate::TranspileLog log;
-    translated = std::make_shared<const vfs::Repo>(
-        xlate::transpile_repo(app, pair.from, pair.to, log));
-  }
-  auto entry = std::make_shared<const CellEntry>(CellEntry{
-      translated,
-      token_counts(app, src, *translated, profile, pair, technique)});
-  std::unique_lock<std::shared_mutex> lock(mu);
-  translations.try_emplace(xkey, std::move(translated));
-  return cells.try_emplace(key, std::move(entry)).first->second;
+  return cells.get_or_compute(cell_key(xkey, app, technique, profile), [&] {
+    auto translated = translations.get_or_compute(xkey, [&] {
+      xlate::TranspileLog log;
+      return std::make_shared<const vfs::Repo>(
+          xlate::transpile_repo(app, pair.from, pair.to, log));
+    });
+    const TokenCounts tokens =
+        token_counts(app, src, *translated, profile, pair, technique);
+    return std::make_shared<const CellEntry>(
+        CellEntry{std::move(translated), tokens});
+  });
 }
 
 }  // namespace

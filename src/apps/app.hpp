@@ -19,7 +19,6 @@ namespace pareval::apps {
 enum class Model { OmpThreads, OmpOffload, Cuda, Kokkos };
 
 const char* model_name(Model m);        // "OpenMP Threads", ...
-const char* model_short_name(Model m);  // "OMP Th.", "OMP Of.", ...
 
 /// Stable machine key ("omp_threads", "omp_offload", "cuda", "kokkos") used
 /// by every on-disk format (sweep specs, shard files, merged sweeps).

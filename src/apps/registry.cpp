@@ -17,16 +17,6 @@ const char* model_name(Model m) {
   return "?";
 }
 
-const char* model_short_name(Model m) {
-  switch (m) {
-    case Model::OmpThreads: return "OMP Th.";
-    case Model::OmpOffload: return "OMP Of.";
-    case Model::Cuda: return "CUDA";
-    case Model::Kokkos: return "Kokkos";
-  }
-  return "?";
-}
-
 const char* model_key(Model m) {
   switch (m) {
     case Model::OmpThreads: return "omp_threads";

@@ -43,10 +43,6 @@ class CommandRunner {
       : repo_(repo), result_(result), tu_cache_(tu_cache),
         link_cache_(link_cache) {}
 
-  /// Primary keys of the TU compiles performed, in command order — the
-  /// build's compile-plan digest (only collected when a cache is wired).
-  std::vector<std::uint64_t> take_tu_keys() { return std::move(tu_keys_); }
-
   /// Run one command line. Returns false when the build must stop.
   bool run(const std::string& line) {
     result_.log += line + "\n";
@@ -105,10 +101,8 @@ class CommandRunner {
       std::shared_ptr<minic::TranslationUnit> tu;
       std::uint64_t obj_key = 0;
       if (tu_cache_ != nullptr) {
-        std::uint64_t tu_key = 0;
         tu = tu_cache_->compile(repo_, input, inv.caps, inv.defines,
-                                tool_key(inv.tool), &tu_key, &obj_key);
-        tu_keys_.push_back(tu_key);
+                                tool_key(inv.tool), &obj_key);
       } else {
         tu = execsim::compile_tu(repo_, input, inv.caps, inv.defines);
       }
@@ -185,14 +179,12 @@ class CommandRunner {
   BuildResult& result_;
   TuCompileCache* tu_cache_;
   LinkCache* link_cache_;
-  std::vector<std::uint64_t> tu_keys_;
   std::map<std::string, std::vector<Object>> objects_;
 };
 
 void build_with_make(const vfs::Repo& repo, const std::string& target,
                      BuildResult& result, TuCompileCache* tu_cache,
-                     LinkCache* link_cache,
-                     std::vector<std::uint64_t>& tu_keys) {
+                     LinkCache* link_cache) {
   result.build_system = "make";
   DiagBag parse_diags;
   const auto mk = parse_makefile(repo.at("Makefile"), "Makefile",
@@ -223,12 +215,10 @@ void build_with_make(const vfs::Repo& repo, const std::string& target,
   for (const auto& cmd : plan) {
     if (!runner.run(cmd.line)) break;
   }
-  tu_keys = runner.take_tu_keys();
 }
 
 void build_with_cmake(const vfs::Repo& repo, BuildResult& result,
-                      TuCompileCache* tu_cache, LinkCache* link_cache,
-                      std::vector<std::uint64_t>& tu_keys) {
+                      TuCompileCache* tu_cache, LinkCache* link_cache) {
   result.build_system = "cmake";
   result.log += "-- Configuring project\n";
   DiagBag cfg_diags;
@@ -262,7 +252,6 @@ void build_with_cmake(const vfs::Repo& repo, BuildResult& result,
     }
     if (stopped) break;
   }
-  tu_keys = runner.take_tu_keys();
 }
 
 }  // namespace
@@ -294,18 +283,17 @@ BuildResult build_repo(const vfs::Repo& repo, const std::string& make_target,
         make_target);
     if (tu_cache->lookup_failed_plan(plan_key, &result)) return result;
   }
-  std::vector<std::uint64_t> tu_keys;
   if (repo.exists("CMakeLists.txt")) {
-    build_with_cmake(repo, result, tu_cache, link_cache, tu_keys);
+    build_with_cmake(repo, result, tu_cache, link_cache);
   } else if (repo.exists("Makefile")) {
-    build_with_make(repo, make_target, result, tu_cache, link_cache, tu_keys);
+    build_with_make(repo, make_target, result, tu_cache, link_cache);
   } else {
     result.diags.error(DiagCategory::MissingBuildTarget,
                        "no Makefile or CMakeLists.txt found in repository",
                        "");
     result.log += "error: no build system found\n";
     if (tu_cache != nullptr) {
-      tu_cache->record_plan(plan_key, result, {});
+      tu_cache->record_plan(plan_key, result);
     }
     return result;
   }
@@ -315,7 +303,7 @@ BuildResult build_repo(const vfs::Repo& repo, const std::string& make_target,
     result.log += "build succeeded\n";
   }
   if (tu_cache != nullptr) {
-    tu_cache->record_plan(plan_key, result, std::move(tu_keys));
+    tu_cache->record_plan(plan_key, result);
   }
   return result;
 }

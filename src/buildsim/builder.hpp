@@ -38,7 +38,7 @@ struct BuildResult {
 ///
 /// With a TuCompileCache, every compiler invocation's TU compiles are
 /// memoized content-addressed (builds differing only in their build file
-/// share every TU), the build's compile-plan digest is recorded, and a
+/// share every TU), the build's outcome is recorded, and a
 /// build whose *failed* outcome the cache already holds (persisted from a
 /// previous process) is reconstructed without compiling at all. Cached and
 /// uncached builds are bit-identical. `repo_hash` (optional) is a

@@ -127,11 +127,6 @@ std::uint64_t build_plan_key(std::uint64_t repo_hash,
   return fold(h, support::stable_hash(make_target));
 }
 
-std::uint64_t build_plan_key(const vfs::Repo& repo,
-                             const std::string& make_target) {
-  return build_plan_key(repo_content_hash(repo), make_target);
-}
-
 // --- Impl -------------------------------------------------------------------
 
 struct TuCompileCache::Impl {
@@ -180,7 +175,6 @@ struct TuCompileCache::Impl {
     Capabilities caps;
     std::string log;
     DiagBag diags;
-    std::vector<std::uint64_t> tus;  // compile-plan digest, command order
     bool published = false;
   };
 
@@ -291,11 +285,6 @@ struct TuCompileCache::Impl {
     j.set("build_system", plan.build_system);
     j.set("caps", caps_to_bits(plan.caps));
     j.set("log", plan.log);
-    Json keys = Json::array();
-    for (const std::uint64_t k : plan.tus) {
-      keys.push_back(support::u64_to_hex(k));
-    }
-    j.set("tus", std::move(keys));
     j.set("diags", diags_to_json(plan.diags));
     return j;
   }
@@ -311,11 +300,6 @@ struct TuCompileCache::Impl {
     plan.build_system = j["build_system"].as_string();
     plan.caps = caps_from_bits(j["caps"].as_int());
     plan.log = j["log"].as_string();
-    for (const Json& k : j["tus"].items()) {
-      std::uint64_t tu_key = 0;
-      if (!support::u64_from_hex(k.as_string(), &tu_key)) return false;
-      plan.tus.push_back(tu_key);
-    }
     if (!diags_from_json(j["diags"], &plan.diags)) return false;
     *out = std::move(plan);
     return true;
@@ -459,19 +443,16 @@ TuCompileCache::~TuCompileCache() = default;
 std::shared_ptr<TranslationUnit> TuCompileCache::compile(
     const vfs::Repo& repo, const std::string& source,
     const Capabilities& caps, const TuDefines& defines,
-    std::string_view toolchain_id, std::uint64_t* key_out,
-    std::uint64_t* obj_key_out) {
+    std::string_view toolchain_id, std::uint64_t* obj_key_out) {
   if (!repo.exists(source)) {
     // The builder checks existence before compiling; keep the degenerate
     // path uncached rather than keying on an absent file.
-    if (key_out != nullptr) *key_out = 0;
     if (obj_key_out != nullptr) *obj_key_out = 0;
     impl_->misses.fetch_add(1, std::memory_order_relaxed);
     return execsim::compile_tu(repo, source, caps, defines);
   }
   const std::uint64_t key =
       tu_primary_key(source, repo.at(source), caps, defines, toolchain_id);
-  if (key_out != nullptr) *key_out = key;
 
   // One compile per key at a time: a thread that misses while another
   // compiles the key waits and looks again, so a repo matching the
@@ -505,8 +486,7 @@ bool TuCompileCache::lookup_failed_plan(std::uint64_t plan_key,
 }
 
 void TuCompileCache::record_plan(std::uint64_t plan_key,
-                                 const BuildResult& result,
-                                 std::vector<std::uint64_t> tu_keys) {
+                                 const BuildResult& result) {
   if (!result.ok && result.exe.has_value()) {
     // A multi-target build can fail *after* linking an earlier target's
     // executable. Reconstructing it from a plan would drop that live
@@ -521,7 +501,6 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
   plan.caps = result.caps;
   plan.log = result.log;
   plan.diags = result.diags;
-  plan.tus = std::move(tu_keys);
   // Builds are pure: a re-recorded plan is identical, so an existing
   // entry (and its publish flag) stays.
   impl_->plans.insert(plan_key, std::move(plan));

@@ -17,7 +17,7 @@
 //
 // The cache persists through the journaled cache::Store: TU *outcomes*
 // (diagnostics, system headers, dependency manifest — not the AST, which
-// is a live program) plus a per-build compile-plan digest keyed by (repo
+// is a live program) plus a per-build plan outcome keyed by (repo
 // content, make target). A failed build carries no executable, so its
 // outcome is fully serializable: on a warm start, build_repo reconstructs
 // the whole failed BuildResult from the persisted plan without compiling
@@ -70,20 +70,17 @@ std::uint64_t tu_primary_key(const std::string& source,
                              const TuDefines& defines,
                              std::string_view toolchain_id);
 
-/// Key of one whole-build compile plan: (repo content hash, make target) —
-/// everything build_repo's outcome depends on. The repo-hash overload is
-/// for callers that already computed repo_content_hash (the scoring
-/// pipeline computes it for the build-artifact key just before building —
-/// hashing the whole repo twice per build would double the hot cold-sweep
-/// hashing cost).
+/// Key of one whole-build plan: (repo content hash, make target) —
+/// everything build_repo's outcome depends on. Callers pass a hash they
+/// already computed (the scoring pipeline computes it for the
+/// build-artifact key just before building — hashing the whole repo twice
+/// per build would double the hot cold-sweep hashing cost).
 std::uint64_t build_plan_key(std::uint64_t repo_hash,
-                             const std::string& make_target);
-std::uint64_t build_plan_key(const vfs::Repo& repo,
                              const std::string& make_target);
 
 /// Thread-safe memoization of execsim::compile_tu on a
 /// support::ShardedCache of manifest groups (one group per primary key,
-/// LRU-bounded by group), plus the persisted per-build plan digests
+/// LRU-bounded by group), plus the persisted per-build plan outcomes
 /// described above. Values are shared TranslationUnits: immutable after
 /// sema, so concurrent builds link the same TU objects (exactly as the
 /// build-artifact layer shares whole BuildResults). Compiles are
@@ -96,12 +93,11 @@ class TuCompileCache {
   TuCompileCache(const TuCompileCache&) = delete;
   TuCompileCache& operator=(const TuCompileCache&) = delete;
 
-  /// compile_tu with memoization. `key_out` (optional) receives the
-  /// primary key, which is what build plans record as their digest.
-  /// In-memory hits share the originally compiled TU (full fidelity). A
-  /// persisted-hit reconstruction of a *failed* TU carries the identical
-  /// diagnostics, resolved files, and system headers — everything a
-  /// failed build reads before stopping — but NOT the partially-parsed
+  /// compile_tu with memoization. In-memory hits share the originally
+  /// compiled TU (full fidelity). A persisted-hit reconstruction of a
+  /// *failed* TU carries the identical diagnostics, resolved files, and
+  /// system headers — everything a failed build reads before stopping —
+  /// but NOT the partially-parsed
   /// AST (functions/globals are empty); downstream BuildResults are
   /// bit-identical because a failed TU always stops the build before
   /// link. Callers inspecting the AST of failed TUs should not rely on
@@ -115,8 +111,7 @@ class TuCompileCache {
   std::shared_ptr<minic::TranslationUnit> compile(
       const vfs::Repo& repo, const std::string& source,
       const minic::Capabilities& caps, const TuDefines& defines,
-      std::string_view toolchain_id, std::uint64_t* key_out = nullptr,
-      std::uint64_t* obj_key_out = nullptr);
+      std::string_view toolchain_id, std::uint64_t* obj_key_out = nullptr);
 
   /// When this cache holds the persisted outcome of a build of exactly
   /// this plan AND that build failed, reconstruct its BuildResult (failed
@@ -126,14 +121,10 @@ class TuCompileCache {
   /// re-linked.
   bool lookup_failed_plan(std::uint64_t plan_key, BuildResult* out);
 
-  /// Record a finished build's outcome and compile-plan digest (the
-  /// primary keys of the TU compiles its commands performed, in order).
-  /// The digest is provenance: it is persisted but no lookup consumes it
-  /// — it documents which TU entries a plan depends on. Successful
-  /// compiles persist on their own, as serialized objects in the "obj1"
-  /// stream keyed per TU (see kObjStream).
-  void record_plan(std::uint64_t plan_key, const BuildResult& result,
-                   std::vector<std::uint64_t> tu_keys);
+  /// Record a finished build's outcome. Successful compiles persist on
+  /// their own, as serialized objects in the "obj1" stream keyed per TU
+  /// (see kObjStream).
+  void record_plan(std::uint64_t plan_key, const BuildResult& result);
 
   /// Counters. misses() counts TU compiles actually performed;
   /// hits() live in-memory hits; persisted_hits() TU reconstructions
@@ -165,7 +156,7 @@ class TuCompileCache {
   void set_object_layer(bool on) noexcept;
   bool object_layer() const noexcept;
 
-  /// Journaled-store streams: TU outcomes and plan digests live in
+  /// Journaled-store streams: TU outcomes and plan outcomes live in
   /// separate streams, each record without a discriminator field.
   static constexpr const char* kTuStream = "tu";
   static constexpr const char* kPlanStream = "tuplan";

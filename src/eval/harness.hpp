@@ -213,14 +213,11 @@ class ScoreCache {
   /// reference run turn it off so object-warm and outcome-only
   /// configurations are gated for bit-identity independently. Requires
   /// the TU layer (object keys come from it); with the TU layer off this
-  /// flag is inert.
+  /// flag is inert. The TU layer owns the flag.
   void enable_object_layer(bool enabled) noexcept {
-    object_enabled_.store(enabled, std::memory_order_relaxed);
     tus_.set_object_layer(enabled);
   }
-  bool object_layer_enabled() const noexcept {
-    return object_enabled_.load(std::memory_order_relaxed);
-  }
+  bool object_layer_enabled() const noexcept { return tus_.object_layer(); }
 
   /// Bound the score-layer entry count (minimum one entry per shard).
   /// The build layer has its own set_capacity.
@@ -282,7 +279,6 @@ class ScoreCache {
   buildsim::TuCompileCache tus_;
   buildsim::LinkCache links_;
   std::atomic<bool> tu_enabled_{true};
-  std::atomic<bool> object_enabled_{true};
 };
 
 /// Everything one sample contributes to its cell's TaskResult.

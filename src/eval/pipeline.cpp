@@ -90,7 +90,7 @@ std::string StagedScore::flat_log() const {
 std::uint64_t repo_content_hash(const vfs::Repo& repo) {
   // One definition of "the same artifact" for every cache layer: the
   // algorithm lives with the TU compile cache (buildsim) so the build
-  // simulator's plan digests and the score/build layers can never drift.
+  // simulator's plan keys and the score/build layers can never drift.
   return buildsim::repo_content_hash(repo);
 }
 
@@ -98,11 +98,6 @@ std::uint64_t build_artifact_key(const apps::AppSpec& app,
                                  std::uint64_t repo_hash) {
   return support::SplitMix64(repo_hash ^ support::stable_hash(app.name))
       .next();
-}
-
-std::uint64_t build_artifact_key(const apps::AppSpec& app,
-                                 const vfs::Repo& repo) {
-  return build_artifact_key(app, repo_content_hash(repo));
 }
 
 // --- ScoringPipeline --------------------------------------------------------

@@ -160,11 +160,6 @@ std::string figure2_report(const Suite& suite, const SweepSpec& spec,
   return out;
 }
 
-std::string figure2_report(const Pair& pair,
-                           const std::vector<TaskResult>& tasks) {
-  return figure2_report(Suite::paper(), SweepSpec::paper(), pair, tasks);
-}
-
 std::string figure2_reports(const Suite& suite, const SweepSpec& spec,
                             const std::vector<TaskResult>& tasks) {
   std::string out;
@@ -235,10 +230,6 @@ std::string figure3_report(const Suite& suite, const SweepSpec& spec,
   return out;
 }
 
-std::string figure3_report(const ClassificationResult& classification) {
-  return figure3_report(Suite::paper(), SweepSpec::paper(), classification);
-}
-
 std::string figure4_report(const Suite& suite, const SweepSpec& spec,
                            const std::vector<TaskResult>& tasks) {
   std::string out =
@@ -273,10 +264,6 @@ std::string figure4_report(const Suite& suite, const SweepSpec& spec,
   for (const auto& hm : built) maps.push_back(*hm);
   out += support::render_side_by_side(maps, 1);
   return out;
-}
-
-std::string figure4_report(const std::vector<TaskResult>& tasks) {
-  return figure4_report(Suite::paper(), SweepSpec::paper(), tasks);
 }
 
 std::string figure5_report(const Suite& suite, const SweepSpec& spec,
@@ -322,10 +309,6 @@ std::string figure5_report(const Suite& suite, const SweepSpec& spec,
   return out;
 }
 
-std::string figure5_report(const std::vector<TaskResult>& tasks) {
-  return figure5_report(Suite::paper(), SweepSpec::paper(), tasks);
-}
-
 std::string table1_report(const Suite& suite) {
   std::string out = "== Table 1: the ParEval-Repo application suite ==\n";
   support::TextTable t({"Application", "SLoC", "CC", "# Files", "OMP Th.",
@@ -367,8 +350,6 @@ std::string table1_report(const Suite& suite) {
          "'*' = public ports exist — contamination probe)\n";
   return out;
 }
-
-std::string table1_report() { return table1_report(Suite::paper()); }
 
 std::string table2_report(const Suite& suite,
                           const std::vector<TaskResult>& tasks) {
@@ -422,10 +403,6 @@ std::string table2_report(const Suite& suite,
   out += "(computed from Eκ, public API prices, and 187 tok/s measured "
          "local throughput, as in §8.4)\n";
   return out;
-}
-
-std::string table2_report(const std::vector<TaskResult>& tasks) {
-  return table2_report(Suite::paper(), tasks);
 }
 
 std::string stage_breakdown_report(const Suite& suite,

@@ -14,8 +14,7 @@ namespace pareval::eval {
 // Every builder takes the (suite, spec) that produced the results: rows
 // are the suite's registered apps, columns its spec-selected profiles,
 // technique blocks its spec-selected techniques — nothing reaches for the
-// global paper registries. The short overloads are paper-suite/default-
-// spec conveniences kept for the quickstart-style call sites.
+// global paper registries.
 
 /// Figure 2 sub-figure: build@1 and pass@1 heat maps (code-only and
 /// overall rows; one technique per column block) for one pair. A
@@ -23,8 +22,6 @@ namespace pareval::eval {
 /// no gate pins it away from `pair`.
 std::string figure2_report(const Suite& suite, const SweepSpec& spec,
                            const llm::Pair& pair,
-                           const std::vector<TaskResult>& tasks);
-std::string figure2_report(const llm::Pair& pair,
                            const std::vector<TaskResult>& tasks);
 
 /// One Figure 2 block per spec-selected pair (suite order), each fed the
@@ -37,26 +34,21 @@ std::string figure2_reports(const Suite& suite, const SweepSpec& spec,
 /// alongside for comparison.
 std::string figure3_report(const Suite& suite, const SweepSpec& spec,
                            const ClassificationResult& classification);
-std::string figure3_report(const ClassificationResult& classification);
 
 /// Figure 4: average total inference tokens (thousands) per technique.
 std::string figure4_report(const Suite& suite, const SweepSpec& spec,
                            const std::vector<TaskResult>& tasks);
-std::string figure4_report(const std::vector<TaskResult>& tasks);
 
 /// Figure 5: expected token cost Eκ (thousands), cells with pass@1 > 0.
 std::string figure5_report(const Suite& suite, const SweepSpec& spec,
                            const std::vector<TaskResult>& tasks);
-std::string figure5_report(const std::vector<TaskResult>& tasks);
 
 /// Table 1: application statistics (SLoC, CC, #files, model matrix).
 std::string table1_report(const Suite& suite);
-std::string table1_report();
 
 /// Table 2: $ / node-hour estimates for the most economic models.
 std::string table2_report(const Suite& suite,
                           const std::vector<TaskResult>& tasks);
-std::string table2_report(const std::vector<TaskResult>& tasks);
 
 /// Staged-pipeline view of a sweep's Overall-mode outcomes: per app, how
 /// many samples passed and how many stopped at each stage — build failed,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <future>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -14,6 +13,7 @@
 
 namespace pareval::eval {
 
+using support::index_from_json;
 using support::Json;
 using support::ThreadPool;
 
@@ -252,17 +252,6 @@ Json u64_to_json(std::uint64_t v) { return Json(support::u64_to_hex(v)); }
 
 bool u64_from_json(const Json& j, std::uint64_t* out) {
   return support::u64_from_hex(j.as_string(), out);
-}
-
-/// An integer in [0, INT_MAX]: no fraction, exponent or int64 overflow
-/// (all of which parse as doubles), and nothing an int cast would wrap.
-bool index_from_json(const Json& j, int* out) {
-  if (j.type() != Json::Type::Int || j.as_int() < 0 ||
-      j.as_int() > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  *out = static_cast<int>(j.as_int());
-  return true;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "eval/suite.hpp"
@@ -220,13 +219,9 @@ bool from_json(const Json& j, SweepSpec* out) {
   // hand-written spec is just {"format": ..., "llms": [...]}.
   out->samples_per_task = SweepSpec{}.samples_per_task;
   if (const Json& n = j["samples_per_task"]; !n.is_null()) {
-    // An integer in [1, INT_MAX]: no fraction, exponent or int64 overflow
-    // (all of which parse as doubles), and nothing an int cast would wrap.
-    if (n.type() != Json::Type::Int || n.as_int() < 1 ||
-        n.as_int() > std::numeric_limits<int>::max()) {
-      return false;
-    }
-    out->samples_per_task = static_cast<int>(n.as_int());
+    int samples = 0;
+    if (!support::index_from_json(n, &samples) || samples < 1) return false;
+    out->samples_per_task = samples;
   }
   out->seed = SweepSpec{}.seed;
   if (!j["seed"].is_null() && !seed_from_json(j["seed"], &out->seed)) {

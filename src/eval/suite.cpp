@@ -74,12 +74,6 @@ Suite& Suite::add_pair(const llm::Pair& pair) {
   return *this;
 }
 
-Suite& Suite::set_calibration(CalibrationFn calibration, AbsenceFn absence) {
-  calibration_ = std::move(calibration);
-  absence_ = std::move(absence);
-  return *this;
-}
-
 Suite& Suite::set_cell_scores(const std::string& llm,
                               llm::Technique technique,
                               const llm::Pair& pair, const std::string& app,
@@ -132,7 +126,6 @@ std::optional<llm::CellScores> Suite::calibration(
   }
   const auto wide = profile_overrides_.find(llm);
   if (wide != profile_overrides_.end()) return wide->second;
-  if (calibration_) return calibration_(llm, technique, pair, app);
   return llm::calibration_lookup(llm, technique, pair, app);
 }
 
@@ -140,7 +133,6 @@ std::string Suite::absence_reason(const std::string& llm,
                                   llm::Technique technique,
                                   const llm::Pair& pair,
                                   const std::string& app) const {
-  if (absence_) return absence_(llm, technique, pair, app);
   return llm::absence_reason(llm, technique, pair, app);
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 // eval::Suite — first-class registries for everything the benchmark can
 // sweep over: applications, LLM profiles, techniques, and translation
-// pairs, plus the calibration hook that tells the simulated-LLM layer how
-// capable a (llm, technique, pair, app) cell is.
+// pairs, plus the calibration overrides that tell the simulated-LLM layer
+// how capable a (llm, technique, pair, app) cell is.
 //
 // Suite::paper() reproduces today's fixed sets (apps::all_apps(),
 // llm::all_profiles(), the three techniques, llm::all_pairs(), the paper's
@@ -17,7 +17,6 @@
 // determines cell indices for the shard planner.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,19 +31,8 @@ namespace pareval::eval {
 
 class Suite {
  public:
-  /// Resolve a cell's capability scores; nullopt marks the cell "not run"
-  /// (the paper's empty heat-map cells). The default is the paper's
-  /// transcribed Figure 2 tables (llm::calibration_lookup).
-  using CalibrationFn = std::function<std::optional<llm::CellScores>(
-      const std::string& llm, llm::Technique technique,
-      const llm::Pair& pair, const std::string& app)>;
-  /// Human-readable reason a nullopt cell is absent (harness logs).
-  using AbsenceFn = std::function<std::string(
-      const std::string& llm, llm::Technique technique,
-      const llm::Pair& pair, const std::string& app)>;
-
   /// An empty suite: no apps, profiles, techniques, or pairs registered;
-  /// calibration falls back to the paper tables until replaced.
+  /// calibration falls back to the paper tables.
   Suite() = default;
 
   /// The paper's fixed benchmark: six apps, five LLM profiles, three
@@ -67,8 +55,6 @@ class Suite {
   Suite& add_technique(llm::Technique technique);
   Suite& add_pair(const llm::Pair& pair);
 
-  /// Replace the calibration fallback wholesale (both hooks).
-  Suite& set_calibration(CalibrationFn calibration, AbsenceFn absence);
   /// Pin one exact (llm, technique, pair, app) cell's scores. Checked
   /// before the profile-wide default and the fallback.
   Suite& set_cell_scores(const std::string& llm, llm::Technique technique,
@@ -98,10 +84,15 @@ class Suite {
 
   // --- calibration ----------------------------------------------------------
 
+  /// A cell's capability scores: an exact override, else the profile-wide
+  /// default, else the paper's transcribed Figure 2 tables
+  /// (llm::calibration_lookup). nullopt marks the cell "not run" (the
+  /// paper's empty heat-map cells).
   std::optional<llm::CellScores> calibration(const std::string& llm,
                                              llm::Technique technique,
                                              const llm::Pair& pair,
                                              const std::string& app) const;
+  /// Human-readable reason a nullopt cell is absent (harness logs).
   std::string absence_reason(const std::string& llm,
                              llm::Technique technique, const llm::Pair& pair,
                              const std::string& app) const;
@@ -130,8 +121,6 @@ class Suite {
 
   std::map<std::string, llm::CellScores> cell_overrides_;
   std::map<std::string, llm::CellScores> profile_overrides_;
-  CalibrationFn calibration_;  // empty: llm::calibration_lookup
-  AbsenceFn absence_;          // empty: llm::absence_reason
 };
 
 }  // namespace pareval::eval

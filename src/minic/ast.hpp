@@ -53,9 +53,6 @@ struct Type {
             base == BaseType::UInt || base == BaseType::SizeT ||
             base == BaseType::Float || base == BaseType::Double);
   }
-  bool is_integer() const {
-    return is_numeric() && base != BaseType::Float && base != BaseType::Double;
-  }
   bool is_real() const {
     return is_numeric() && (base == BaseType::Float || base == BaseType::Double);
   }

@@ -29,15 +29,15 @@ struct Compiler {
     int break_label = -1;
     int depth = 0;  // scope depth just inside the loop
   };
-  std::vector<LoopCtx> loops;
+  std::vector<LoopCtx> loops{};
 
-  std::vector<int> labels;  // label id -> code index (-1 until bound)
+  std::vector<int> labels{};  // label id -> code index (-1 until bound)
   struct Fixup {
     std::size_t code_index;
     int label;
     bool imm2;  // patch imm2 instead of imm
   };
-  std::vector<Fixup> fixups;
+  std::vector<Fixup> fixups{};
 
   // --------------------------------------------------------- plumbing --
   int alloc_reg() {

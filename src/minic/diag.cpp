@@ -2,27 +2,6 @@
 
 namespace pareval::minic {
 
-const char* category_name(DiagCategory c) {
-  switch (c) {
-    case DiagCategory::MakefileSyntax: return "CMake or Makefile Syntax Error";
-    case DiagCategory::MissingBuildTarget: return "Makefile Missing Build Target";
-    case DiagCategory::CMakeConfig: return "CMake Config Error";
-    case DiagCategory::InvalidCompilerFlag: return "Invalid Compiler Flag";
-    case DiagCategory::MissingHeader: return "Missing Header File";
-    case DiagCategory::CodeSyntax: return "Code Syntax Error";
-    case DiagCategory::UndeclaredIdentifier: return "Undeclared Identifier";
-    case DiagCategory::ArgTypeMismatch:
-      return "Function Argument or Type Mismatch";
-    case DiagCategory::OmpInvalidDirective: return "OpenMP Invalid Directive";
-    case DiagCategory::LinkError: return "Linker Error";
-    case DiagCategory::RuntimeFault: return "Runtime Fault";
-    case DiagCategory::WrongOutput: return "Wrong Output";
-    case DiagCategory::WrongExecutionModel: return "Wrong Execution Model";
-    case DiagCategory::Other: return "Other";
-  }
-  return "Other";
-}
-
 const char* diag_category_key(DiagCategory c) {
   switch (c) {
     case DiagCategory::MakefileSyntax: return "makefile-syntax";

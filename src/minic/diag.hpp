@@ -29,9 +29,6 @@ enum class DiagCategory {
   Other,
 };
 
-/// Human-readable category label (Figure 3's row names where applicable).
-const char* category_name(DiagCategory c);
-
 /// Stable machine key of a category ("makefile-syntax",
 /// "undeclared-identifier", ...) and its inverse. One spelling shared by
 /// every on-disk artifact that carries a category: stage outcomes in shard

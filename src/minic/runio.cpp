@@ -16,20 +16,6 @@ Json to_json(const RunStats& stats) {
   return j;
 }
 
-bool run_stats_from_json(const Json& j, RunStats* out) {
-  if (!j.is_object()) return false;
-  RunStats s;
-  s.steps = j["steps"].as_int();
-  s.device_kernel_launches = j["device_kernel_launches"].as_int();
-  s.host_parallel_regions = j["host_parallel_regions"].as_int();
-  s.target_regions = j["target_regions"].as_int();
-  s.h2d_copies = j["h2d_copies"].as_int();
-  s.d2h_copies = j["d2h_copies"].as_int();
-  s.read_uninitialized = j["read_uninitialized"].as_bool();
-  *out = s;
-  return true;
-}
-
 Json to_json(const RunResult& result) {
   Json j = Json::object();
   j.set("ok", result.ok);
@@ -49,32 +35,6 @@ Json to_json(const RunResult& result) {
   j.set("diags", std::move(diags));
   j.set("stats", to_json(result.stats));
   return j;
-}
-
-bool run_result_from_json(const Json& j, RunResult* out) {
-  if (!j.is_object()) return false;
-  RunResult r;
-  r.ok = j["ok"].as_bool();
-  r.exit_code = static_cast<int>(j["exit_code"].as_int());
-  r.stdout_text = j["stdout"].as_string();
-  r.stderr_text = j["stderr"].as_string();
-  const Json& diags = j["diags"];
-  if (!diags.is_array()) return false;
-  for (const Json& dj : diags.items()) {
-    Diag d;
-    if (!diag_category_from_key(dj["category"].as_string(), &d.category)) {
-      return false;
-    }
-    d.severity = dj["severity"].as_string() == "warning" ? Severity::Warning
-                                                         : Severity::Error;
-    d.message = dj["message"].as_string();
-    d.file = dj["file"].as_string();
-    d.line = static_cast<int>(dj["line"].as_int());
-    r.diags.add(std::move(d));
-  }
-  if (!run_stats_from_json(j["stats"], &r.stats)) return false;
-  *out = std::move(r);
-  return true;
 }
 
 }  // namespace pareval::minic

@@ -71,9 +71,7 @@ inline bool charge_fuel(RunStats& stats, const RunLimits& limits,
 // keys from diag_category_key.
 
 support::Json to_json(const RunStats& stats);
-bool run_stats_from_json(const support::Json& j, RunStats* out);
 
 support::Json to_json(const RunResult& result);
-bool run_result_from_json(const support::Json& j, RunResult* out);
 
 }  // namespace pareval::minic

@@ -42,7 +42,6 @@ class Client {
   /// mismatch (a client must not talk across revisions).
   bool connect(const std::string& endpoint, std::string* error);
 
-  bool connected() const noexcept { return sock_.valid(); }
   const HelloMsg& hello() const noexcept { return hello_; }
 
   /// Submit a job and block until its `done` message, collecting every

@@ -6,6 +6,7 @@
 
 namespace pareval::serve {
 
+using support::index_from_json;
 using support::Json;
 
 std::string frame_message(const Json& msg) {
@@ -117,11 +118,10 @@ Json HelloMsg::encode() const {
 
 bool HelloMsg::decode(const Json& j, HelloMsg* out) {
   if (!is_type(j, "hello") || !j["server"].is_string() ||
-      !j["protocol"].is_number()) {
+      !index_from_json(j["protocol"], &out->protocol)) {
     return false;
   }
   out->server = j["server"].as_string();
-  out->protocol = j["protocol"].as_int();
   return support::u64_from_hex(j["pipeline"].as_string(), &out->pipeline);
 }
 
@@ -167,14 +167,9 @@ Json SubmitAck::encode() const {
 }
 
 bool SubmitAck::decode(const Json& j, SubmitAck* out) {
-  if (!is_type(j, "accepted") || !j["job"].is_number() ||
-      !j["cells"].is_number() || !j["units"].is_number()) {
-    return false;
-  }
-  out->job = static_cast<int>(j["job"].as_int());
-  out->cells = j["cells"].as_int();
-  out->units = j["units"].as_int();
-  return true;
+  return is_type(j, "accepted") && index_from_json(j["job"], &out->job) &&
+         index_from_json(j["cells"], &out->cells) &&
+         index_from_json(j["units"], &out->units);
 }
 
 Json SampleMsg::encode() const {
@@ -185,9 +180,8 @@ Json SampleMsg::encode() const {
 }
 
 bool SampleMsg::decode(const Json& j, SampleMsg* out) {
-  if (!is_type(j, "sample") || !j["job"].is_number()) return false;
-  out->job = static_cast<int>(j["job"].as_int());
-  return eval::from_json(j["record"], &out->record);
+  return is_type(j, "sample") && index_from_json(j["job"], &out->job) &&
+         eval::from_json(j["record"], &out->record);
 }
 
 Json JobDoneMsg::encode() const {
@@ -199,12 +193,11 @@ Json JobDoneMsg::encode() const {
 }
 
 bool JobDoneMsg::decode(const Json& j, JobDoneMsg* out) {
-  if (!is_type(j, "done") || !j["job"].is_number() ||
-      !j["records"].is_number() || !j["cancelled"].is_bool()) {
+  if (!is_type(j, "done") || !index_from_json(j["job"], &out->job) ||
+      !index_from_json(j["records"], &out->records) ||
+      !j["cancelled"].is_bool()) {
     return false;
   }
-  out->job = static_cast<int>(j["job"].as_int());
-  out->records = j["records"].as_int();
   out->cancelled = j["cancelled"].as_bool();
   return true;
 }
@@ -234,9 +227,7 @@ Json CancelRequest::encode() const {
 }
 
 bool CancelRequest::decode(const Json& j, CancelRequest* out) {
-  if (!is_type(j, "cancel") || !j["job"].is_number()) return false;
-  out->job = static_cast<int>(j["job"].as_int());
-  return true;
+  return is_type(j, "cancel") && index_from_json(j["job"], &out->job);
 }
 
 Json CancelReply::encode() const {
@@ -248,13 +239,12 @@ Json CancelReply::encode() const {
 }
 
 bool CancelReply::decode(const Json& j, CancelReply* out) {
-  if (!is_type(j, "cancel_reply") || !j["job"].is_number() ||
-      !j["found"].is_bool() || !j["skipped_units"].is_number()) {
+  if (!is_type(j, "cancel_reply") || !index_from_json(j["job"], &out->job) ||
+      !j["found"].is_bool() ||
+      !index_from_json(j["skipped_units"], &out->skipped_units)) {
     return false;
   }
-  out->job = static_cast<int>(j["job"].as_int());
   out->found = j["found"].as_bool();
-  out->skipped_units = j["skipped_units"].as_int();
   return true;
 }
 
@@ -283,11 +273,10 @@ Json FoldReply::encode() const {
 
 bool FoldReply::decode(const Json& j, FoldReply* out) {
   if (!is_type(j, "fold_reply") || !j["ok"].is_bool() ||
-      !j["records"].is_number()) {
+      !index_from_json(j["records"], &out->records)) {
     return false;
   }
   out->ok = j["ok"].as_bool();
-  out->records = j["records"].as_int();
   out->error = j["error"].as_string();
   return true;
 }

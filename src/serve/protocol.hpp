@@ -77,7 +77,6 @@ class FrameDecoder {
 
   bool corrupt() const noexcept { return corrupt_; }
   const std::string& corrupt_reason() const noexcept { return reason_; }
-  std::size_t buffered_bytes() const noexcept { return buffer_.size(); }
 
  private:
   std::string buffer_;

@@ -141,9 +141,6 @@ class Store {
   void set_compact_threshold(std::size_t bytes) noexcept {
     compact_threshold_ = bytes;
   }
-  std::size_t compact_threshold() const noexcept {
-    return compact_threshold_;
-  }
 
   StreamStats stats(const std::string& stream) const;
 

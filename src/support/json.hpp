@@ -13,6 +13,7 @@
 //    survives a save/load cycle under operator==.
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -107,5 +108,19 @@ class Json {
   std::vector<Json> arr_;
   std::vector<Member> obj_;
 };
+
+/// An index or count: a JSON integer in [0, INT_MAX]. A fraction, exponent
+/// or int64 overflow (all of which parse as doubles), a negative value and
+/// anything an int cast would wrap are rejected, leaving `*out` unchanged.
+/// `Int` is the field's type (int or long long); the range is the same.
+template <class Int>
+bool index_from_json(const Json& j, Int* out) {
+  if (j.type() != Json::Type::Int || j.as_int() < 0 ||
+      j.as_int() > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<Int>(j.as_int());
+  return true;
+}
 
 }  // namespace pareval::support

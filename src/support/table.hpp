@@ -35,8 +35,6 @@ class HeatMap {
   std::size_t rows() const { return row_labels_.size(); }
   std::size_t cols() const { return col_labels_.size(); }
   const std::string& title() const { return title_; }
-  const std::vector<std::string>& row_labels() const { return row_labels_; }
-  const std::vector<std::string>& col_labels() const { return col_labels_; }
 
   /// Render with `digits` decimals per cell.
   std::string render(int digits = 2) const;

@@ -218,6 +218,42 @@ TEST(ServeProtocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(pv::message_type(fold_in.encode()), "fold_reply");
 }
 
+/// `valid` decodes, but the same frame with `field` set to a fraction, a
+/// negative value or a value past INT_MAX does not: every id and count on
+/// the wire is a JSON integer in [0, INT_MAX].
+template <class Msg>
+void expect_index_field(const Msg& valid, const char* field) {
+  Msg out;
+  ASSERT_TRUE(Msg::decode(valid.encode(), &out)) << field;
+  for (const Json& bad : {Json(2.5), Json(-1), Json(4294967296LL)}) {
+    Json j = valid.encode();
+    j.set(field, bad);
+    EXPECT_FALSE(Msg::decode(j, &out)) << field << " = " << bad.dump();
+  }
+}
+
+TEST(ServeProtocol, IdsAndCountsRejectFractionsNegativesAndOverflow) {
+  expect_index_field(pv::HelloMsg{}, "protocol");
+  const pv::SubmitAck ack{3, 52, 312};
+  for (const char* field : {"job", "cells", "units"}) {
+    expect_index_field(ack, field);
+  }
+  pv::SampleMsg sample;
+  sample.job = 7;
+  expect_index_field(sample, "job");
+  const pv::JobDoneMsg done{7, 2, false};
+  expect_index_field(done, "job");
+  expect_index_field(done, "records");
+  expect_index_field(pv::CancelRequest{11}, "job");
+  const pv::CancelReply cancel{11, true, 40};
+  expect_index_field(cancel, "job");
+  expect_index_field(cancel, "skipped_units");
+  pv::FoldReply fold;
+  fold.ok = true;
+  fold.records = 13;
+  expect_index_field(fold, "records");
+}
+
 // --- FrameDecoder -----------------------------------------------------------
 
 TEST(ServeFrames, SplitFeedsAcrossFrameBoundariesDecode) {

@@ -387,7 +387,7 @@ std::string oracle_dump_string(const std::string& s) {
 struct OracleStringParse {
   std::string_view s;
   std::size_t i = 0;
-  std::string err;
+  std::string err{};
 
   bool fail(const char* msg) {
     err = "byte " + std::to_string(i) + ": " + msg;

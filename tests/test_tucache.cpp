@@ -23,6 +23,7 @@
 #include "buildsim/tucache.hpp"
 #include "eval/harness.hpp"
 #include "execsim/driver.hpp"
+#include "minic/objcodec.hpp"
 #include "support/cachestore.hpp"
 #include "support/io.hpp"
 #include "support/strings.hpp"
@@ -486,6 +487,65 @@ TEST(TuCache, JournalStoreRoundTripReconstructsFailedPlans) {
   std::filesystem::remove_all(dir, ec);
 }
 
+TEST(TuCache, PlanRecordsWithATuKeyArrayStillReconstruct) {
+  // Stores written before plans stopped journaling the compile-plan
+  // digest carry a "tus" array of TU primary keys in every tuplan record.
+  // Such a store still attaches, and its failed plan rebuilds the same
+  // BuildResult as a fresh, uncached build.
+  const std::string src_dir = fresh_dir("tucache_plan_tus_src_store");
+  const std::string dir = fresh_dir("tucache_plan_tus_store");
+  const Repo bad = failing_tu_repo();
+  const buildsim::BuildResult fresh = buildsim::build_repo(bad, "");
+  ASSERT_FALSE(fresh.ok);
+
+  cache::Store src(src_dir);
+  ASSERT_TRUE(src.open());
+  TuCompileCache cold;
+  cold.attach(src, 1234);
+  ASSERT_TRUE(buildsim::build_repo(two_tu_repo(), "", &cold).ok);
+  ASSERT_FALSE(buildsim::build_repo(bad, "", &cold).ok);
+  ASSERT_GT(cold.flush(), 0u);
+
+  // Copy the three streams, giving each plan record the older "tus" array.
+  cache::Store old(dir);
+  ASSERT_TRUE(old.open());
+  const std::pair<const char*, std::uint64_t> streams[] = {
+      {TuCompileCache::kTuStream, 1234},
+      {TuCompileCache::kPlanStream, 1234},
+      {TuCompileCache::kObjStream, minic::obj_stream_version(1234)}};
+  for (const auto& [stream, version] : streams) {
+    const bool plan = stream == TuCompileCache::kPlanStream;
+    std::vector<support::Json> records;
+    ASSERT_TRUE(src.replay(stream, version, [&](const support::Json& j) {
+      records.push_back(j);
+      if (!plan) return;
+      support::Json keys = support::Json::array();
+      keys.push_back(support::Json("00000000deadbeef"));
+      records.back().set("tus", std::move(keys));
+    }));
+    ASSERT_FALSE(records.empty());
+    ASSERT_TRUE(old.append_batch(stream, version, records));
+  }
+
+  cache::Store reader(dir);
+  ASSERT_TRUE(reader.open());
+  TuCompileCache warm;
+  EXPECT_TRUE(warm.attach(reader, 1234));
+  EXPECT_EQ(warm.plan_count(), 2u);
+  const buildsim::BuildResult rebuilt = buildsim::build_repo(bad, "", &warm);
+  EXPECT_EQ(warm.plan_hits(), 1u);
+  EXPECT_EQ(warm.misses(), 0u);
+  EXPECT_EQ(rebuilt.ok, fresh.ok);
+  EXPECT_EQ(rebuilt.diags.render(), fresh.diags.render());
+  EXPECT_EQ(rebuilt.log, fresh.log);
+  EXPECT_EQ(rebuilt.caps, fresh.caps);
+  EXPECT_EQ(rebuilt.build_system, fresh.build_system);
+  EXPECT_FALSE(rebuilt.exe.has_value());
+
+  std::filesystem::remove_all(src_dir);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TuCache, CapacityBound) {
   TuCompileCache cache;
   cache.set_capacity(16);  // one entry per shard
@@ -513,14 +573,14 @@ TEST(TuCache, PlanCapacityBound) {
   failed.ok = false;
   failed.log = "error: synthetic\n";
   for (std::uint64_t k = 1; k <= 64; ++k) {
-    cache.record_plan(k, failed, {});
+    cache.record_plan(k, failed);
   }
   EXPECT_LE(cache.plan_count(), 16u);
   EXPECT_GT(cache.plan_count(), 0u);
 
   TuCompileCache unbounded;
   for (std::uint64_t k = 1; k <= 64; ++k) {
-    unbounded.record_plan(k, failed, {});
+    unbounded.record_plan(k, failed);
   }
   const std::string dir = fresh_dir("tu_cache_plan_bound_store");
   cache::Store store(dir);

@@ -14,7 +14,6 @@
 // paper matrix.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
       if (!tools::parse_int(argv[++i], &samples)) return usage(argv[0]);
       samples_set = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!tools::parse_seed(argv[++i], &seed)) return usage(argv[0]);
       seed_set = true;
     } else if (arg == "--engine" && i + 1 < argc) {
       if (!tools::parse_engine_flag("bench_figures", argv[++i], &engine)) {

@@ -12,6 +12,7 @@
 #include <climits>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -37,6 +38,20 @@ inline bool parse_int(const char* text, int* out) {
     return false;
   }
   *out = static_cast<int>(v);
+  return true;
+}
+
+/// Strict --seed parse: the whole token as an unsigned 64-bit value in
+/// strtoull's base-0 spellings (decimal, 0x hex, leading-0 octal).
+/// strtoull alone runs "abc" as seed 0, "12x" as 12 and "-1" as 2^64-1;
+/// here a sign, whitespace, trailing text or overflow is rejected.
+inline bool parse_seed(const char* text, std::uint64_t* out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 0);
+  if (errno != 0 || *end != '\0') return false;
+  *out = v;
   return true;
 }
 

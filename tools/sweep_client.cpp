@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
   }
   if (verb == "cancel") {
     int job = 0;
-    if (verb_arg.empty() || !tools::parse_int(verb_arg.c_str(), &job)) {
+    if (verb_arg.empty() || !tools::parse_int(verb_arg.c_str(), &job) ||
+        job < 0) {
       return usage(argv[0]);
     }
     serve::CancelReply reply;

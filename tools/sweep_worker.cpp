@@ -12,7 +12,6 @@
 // Without --spec, the classic flags (--pair/--samples/--seed) build the
 // paper's default spec, optionally restricted to one pair.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -85,8 +84,8 @@ int main(int argc, char** argv) {
                parse_int(v, &parsed)) {
       spec.samples_per_task = parsed;
       samples_set = true;
-    } else if (arg == "--seed" && (v = value())) {
-      spec.seed = std::strtoull(v, nullptr, 0);
+    } else if (arg == "--seed" && (v = value()) &&
+               tools::parse_seed(v, &spec.seed)) {
       seed_set = true;
     } else if (arg == "--threads" && (v = value()) &&
                parse_int(v, &parsed) && parsed >= 0) {
