@@ -68,10 +68,10 @@ BENCHMARK(BM_BuildSimXsbench);
 
 // ---- warm-object codec throughput ----------------------------------------
 // The persistence half of the warm-object store: serialize/deserialize
-// post-sema TUs and compiled bytecode chunks, benched against the work a
-// warm decode elides (parsing the source, compiling chunks from the AST).
-// A decode that is not clearly cheaper than the front-end work it skips
-// would make the object layer pure overhead.
+// post-sema TUs, benched against the work a warm decode elides (parsing
+// the source). A decode that is not clearly cheaper than the front-end
+// work it skips would make the object layer pure overhead. Chunk
+// compilation is benched alongside: no layer persists it.
 
 static const buildsim::BuildResult& xsbench_build() {
   static const buildsim::BuildResult build = buildsim::build_repo(
@@ -125,8 +125,9 @@ static void BM_TuParseCompile(benchmark::State& state) {
 BENCHMARK(BM_TuParseCompile);
 
 static void BM_ChunkCompile(benchmark::State& state) {
-  // Baseline for the chunk codec: compile every function's bytecode from
-  // the linked AST (what a VM run pays on a cold ChunkPack).
+  // Compile every function's bytecode from the linked AST: the one-time
+  // cost a VM run pays per executable, whether its link was cold or
+  // object-warm (chunks are never persisted).
   const auto& exe = *xsbench_build().exe;
   const minic::BuiltinTable builtins =
       execsim::make_builtin_table(exe.program.caps);
@@ -141,54 +142,6 @@ static void BM_ChunkCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkCompile);
 
-static void BM_ChunkSerialize(benchmark::State& state) {
-  const auto& exe = *xsbench_build().exe;
-  const minic::BuiltinTable builtins =
-      execsim::make_builtin_table(exe.program.caps);
-  const minic::NodeTable nodes = minic::NodeTable::build(exe.program.tus);
-  minic::ChunkPack pack;
-  for (const auto& [name, fn] : exe.program.functions) {
-    pack.get_or_compile(*fn, exe.program, builtins);
-  }
-  std::int64_t bytes = 0;
-  for (auto _ : state) {
-    minic::BinWriter w;
-    for (const auto& [name, fn] : exe.program.functions) {
-      minic::encode_chunk(*pack.get(fn), nodes, w);
-    }
-    bytes = static_cast<std::int64_t>(w.bytes().size());
-    benchmark::DoNotOptimize(w.bytes().data());
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
-}
-BENCHMARK(BM_ChunkSerialize);
-
-static void BM_ChunkDeserialize(benchmark::State& state) {
-  const auto& exe = *xsbench_build().exe;
-  const minic::BuiltinTable builtins =
-      execsim::make_builtin_table(exe.program.caps);
-  const minic::NodeTable nodes = minic::NodeTable::build(exe.program.tus);
-  minic::ChunkPack pack;
-  std::size_t count = 0;
-  minic::BinWriter w;
-  for (const auto& [name, fn] : exe.program.functions) {
-    minic::encode_chunk(pack.get_or_compile(*fn, exe.program, builtins),
-                        nodes, w);
-    ++count;
-  }
-  const std::string payload = w.bytes();
-  for (auto _ : state) {
-    minic::BinReader r(payload);
-    for (std::size_t i = 0; i < count; ++i) {
-      minic::Chunk chunk;
-      minic::decode_chunk(r, nodes, builtins, &chunk);
-      benchmark::DoNotOptimize(chunk.code.size());
-    }
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(payload.size()));
-}
-BENCHMARK(BM_ChunkDeserialize);
 
 static void BM_TranspileCudaToOmp(benchmark::State& state) {
   const auto* app = apps::find_app("SimpleMOC-kernel");

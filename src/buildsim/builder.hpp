@@ -48,8 +48,8 @@ struct BuildResult {
 ///
 /// With a LinkCache as well (requires the TU cache — link keys are built
 /// from TU content keys), each link step's outcome is memoized
-/// content-addressed: a warm hit reconstructs the Executable with
-/// pre-compiled bytecode instead of running link_units.
+/// content-addressed: a warm hit reconstructs the Executable from the
+/// persisted link tables instead of running link_units.
 BuildResult build_repo(const vfs::Repo& repo,
                        const std::string& make_target = "",
                        TuCompileCache* tu_cache = nullptr,

@@ -44,41 +44,6 @@ void encode_diag(const Diag& d, minic::BinWriter& w) {
   w.i32(d.line);
 }
 
-// Pre-order lambda-body collection over a function body: the bodies feed
-// the link payload's lambda-chunk section in a deterministic order
-// (name-ordered functions, source order within each). Mirrors the
-// NodeTable walk, so every collected body has a relocation index.
-void collect_lambda_bodies(const minic::Expr* e,
-                           std::vector<const minic::Stmt*>* out);
-void collect_lambda_bodies(const minic::Stmt* s,
-                           std::vector<const minic::Stmt*>* out) {
-  if (s == nullptr) return;
-  for (const auto& child : s->body) collect_lambda_bodies(child.get(), out);
-  collect_lambda_bodies(s->expr.get(), out);
-  for (const auto& d : s->decls) {
-    collect_lambda_bodies(d.init.get(), out);
-    for (const auto& a : d.ctor_args) collect_lambda_bodies(a.get(), out);
-    collect_lambda_bodies(d.array_size.get(), out);
-  }
-  collect_lambda_bodies(s->then_branch.get(), out);
-  collect_lambda_bodies(s->else_branch.get(), out);
-  collect_lambda_bodies(s->for_init.get(), out);
-  collect_lambda_bodies(s->for_inc.get(), out);
-  collect_lambda_bodies(s->loop_body.get(), out);
-  collect_lambda_bodies(s->omp_body.get(), out);
-}
-void collect_lambda_bodies(const minic::Expr* e,
-                           std::vector<const minic::Stmt*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == minic::ExprKind::LambdaExpr) {
-    if (e->lambda_body) out->push_back(e->lambda_body.get());
-  }
-  for (const auto& kid : e->kids) collect_lambda_bodies(kid.get(), out);
-  collect_lambda_bodies(e->launch_grid.get(), out);
-  collect_lambda_bodies(e->launch_block.get(), out);
-  collect_lambda_bodies(e->lambda_body.get(), out);
-}
-
 bool decode_diag(minic::BinReader& r, Diag* out) {
   if (!minic::diag_category_from_key(r.str(), &out->category)) return false;
   const std::uint8_t sev = r.u8();
@@ -90,94 +55,69 @@ bool decode_diag(minic::BinReader& r, Diag* out) {
   return r.ok();
 }
 
-/// Serialize a recorded link outcome. Every function is compiled to
-/// bytecode first (through the executable's shared ChunkPack, so chunks
-/// the VM already produced are reused), making a warm hit fully
-/// pre-compiled. Empty string when any node fails to relocate — the
-/// caller skips the entry.
+/// Append the (TU index, declaration index) of `item` within the TUs'
+/// `member` lists; false when no TU declares it.
+template <typename T>
+bool encode_ref(const std::vector<std::shared_ptr<TranslationUnit>>& tus,
+                std::vector<T> TranslationUnit::*member, const T* item,
+                minic::BinWriter& w) {
+  for (std::size_t i = 0; i < tus.size(); ++i) {
+    const std::vector<T>& items = (*tus[i]).*member;
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      if (&items[j] == item) {
+        w.u32(static_cast<std::uint32_t>(i));
+        w.u32(static_cast<std::uint32_t>(j));
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// The declaration an encode_ref reference names in the live TUs; nullptr
+/// when either index is out of range.
+template <typename T>
+const T* decode_ref(const std::vector<std::shared_ptr<TranslationUnit>>& tus,
+                    std::vector<T> TranslationUnit::*member,
+                    minic::BinReader& r) {
+  const std::uint32_t tu_idx = r.u32();
+  const std::uint32_t idx = r.u32();
+  if (!r.ok() || tu_idx >= tus.size()) return nullptr;
+  const std::vector<T>& items = (*tus[tu_idx]).*member;
+  return idx < items.size() ? &items[idx] : nullptr;
+}
+
+/// Serialize a recorded link outcome: the function, struct, and global
+/// tables as references into the link's TUs, plus the link step's own
+/// diagnostics. No bytecode is persisted. Empty string when a table entry
+/// names no TU declaration — the caller skips the entry.
 std::string encode_link(const execsim::Executable& exe) {
   const minic::LinkedProgram& prog = exe.program;
-  const minic::NodeTable nodes = minic::NodeTable::build(prog.tus);
+  const auto& tus = prog.tus;
 
   minic::BinWriter w;
-  w.u32(static_cast<std::uint32_t>(prog.tus.size()));
+  w.u32(static_cast<std::uint32_t>(tus.size()));
 
   w.u32(static_cast<std::uint32_t>(prog.functions.size()));
   for (const auto& [name, fn] : prog.functions) {
-    const std::int32_t idx = nodes.index_of(fn);
-    if (idx < 0) return {};
     w.str(name);
-    w.u32(static_cast<std::uint32_t>(idx));
+    if (!encode_ref(tus, &TranslationUnit::functions, fn, w)) return {};
   }
-
-  // Structs and globals are not in the NodeTable (no instruction ever
-  // references them); they relocate by (tu index, declaration index).
   w.u32(static_cast<std::uint32_t>(prog.structs.size()));
   for (const auto& [name, sd] : prog.structs) {
-    bool found = false;
-    for (std::size_t i = 0; i < prog.tus.size() && !found; ++i) {
-      const auto& structs = prog.tus[i]->structs;
-      for (std::size_t j = 0; j < structs.size(); ++j) {
-        if (&structs[j] == sd) {
-          w.str(name);
-          w.u32(static_cast<std::uint32_t>(i));
-          w.u32(static_cast<std::uint32_t>(j));
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) return {};
+    w.str(name);
+    if (!encode_ref(tus, &TranslationUnit::structs, sd, w)) return {};
   }
-
   w.u32(static_cast<std::uint32_t>(prog.globals.size()));
   for (const minic::GlobalVarDecl* gv : prog.globals) {
-    bool found = false;
-    for (std::size_t i = 0; i < prog.tus.size() && !found; ++i) {
-      const auto& globals = prog.tus[i]->globals;
-      for (std::size_t j = 0; j < globals.size(); ++j) {
-        if (&globals[j] == gv) {
-          w.u32(static_cast<std::uint32_t>(i));
-          w.u32(static_cast<std::uint32_t>(j));
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) return {};
-  }
-
-  w.u32(static_cast<std::uint32_t>(prog.functions.size()));
-  for (const auto& [name, fn] : prog.functions) {
-    const minic::Chunk& chunk =
-        exe.chunks->get_or_compile(*fn, prog, *exe.builtins);
-    if (!minic::encode_chunk(chunk, nodes, w)) return {};
-  }
-
-  // Lambda-body chunks, so a warm hit starts with lambdas pre-compiled
-  // too (and the tree-walking engine can reuse them). Bodies the
-  // NodeTable does not enumerate (lambdas in global initializers) are
-  // skipped, not fatal — they just compile again at runtime.
-  std::vector<const minic::Stmt*> lambda_bodies;
-  for (const auto& [name, fn] : prog.functions) {
-    if (fn->body) collect_lambda_bodies(fn->body.get(), &lambda_bodies);
-  }
-  std::vector<const minic::Stmt*> kept;
-  for (const minic::Stmt* body : lambda_bodies) {
-    if (nodes.index_of(body) >= 0) kept.push_back(body);
-  }
-  w.u32(static_cast<std::uint32_t>(kept.size()));
-  for (const minic::Stmt* body : kept) {
-    const minic::Chunk& chunk =
-        exe.chunks->get_or_compile_lambda(*body, prog, *exe.builtins);
-    if (!minic::encode_chunk(chunk, nodes, w)) return {};
+    if (!encode_ref(tus, &TranslationUnit::globals, gv, w)) return {};
   }
 
   // The executable's diagnostics are the TU diagnostics merged in TU
   // order followed by what link_units itself emitted; only that suffix
   // needs persisting (the prefix reconstructs from the live TUs).
   std::size_t tu_diags = 0;
-  for (const auto& tu : prog.tus) tu_diags += tu->diags.all().size();
+  for (const auto& tu : tus) tu_diags += tu->diags.all().size();
   const auto& all = exe.diags.all();
   if (all.size() < tu_diags) return {};
   w.u32(static_cast<std::uint32_t>(all.size() - tu_diags));
@@ -196,8 +136,9 @@ std::string encode_link(const execsim::Executable& exe) {
   return out;
 }
 
-/// Rebuild the recorded Executable against the live link inputs. nullopt
-/// on any malformed field — the caller's cold-link path.
+/// Rebuild the recorded Executable against the live link inputs, with an
+/// empty ChunkPack. nullopt on any malformed field — the caller's
+/// cold-link path.
 std::optional<execsim::Executable> decode_link(
     std::string_view bytes,
     const std::vector<std::shared_ptr<TranslationUnit>>& tus,
@@ -218,7 +159,6 @@ std::optional<execsim::Executable> decode_link(
   minic::BinReader r(bytes.substr(16));
 
   if (r.u32() != tus.size()) return std::nullopt;
-  const minic::NodeTable nodes = minic::NodeTable::build(tus);
 
   execsim::Executable exe;
   exe.program.tus = tus;
@@ -230,56 +170,22 @@ std::optional<execsim::Executable> decode_link(
   const std::uint32_t nfns = r.u32();
   for (std::uint32_t i = 0; i < nfns && r.ok(); ++i) {
     std::string name = r.str();
-    const auto* fn = static_cast<const minic::FunctionDecl*>(
-        nodes.at(r.u32(), minic::NodeTable::Kind::Function));
+    const auto* fn = decode_ref(tus, &TranslationUnit::functions, r);
     if (fn == nullptr) return std::nullopt;
     exe.program.functions.emplace(std::move(name), fn);
   }
-
   const std::uint32_t nstructs = r.u32();
   for (std::uint32_t i = 0; i < nstructs && r.ok(); ++i) {
     std::string name = r.str();
-    const std::uint32_t tu_idx = r.u32();
-    const std::uint32_t idx = r.u32();
-    if (tu_idx >= tus.size() || idx >= tus[tu_idx]->structs.size()) {
-      return std::nullopt;
-    }
-    exe.program.structs.emplace(std::move(name),
-                                &tus[tu_idx]->structs[idx]);
+    const auto* sd = decode_ref(tus, &TranslationUnit::structs, r);
+    if (sd == nullptr) return std::nullopt;
+    exe.program.structs.emplace(std::move(name), sd);
   }
-
   const std::uint32_t nglobals = r.u32();
   for (std::uint32_t i = 0; i < nglobals && r.ok(); ++i) {
-    const std::uint32_t tu_idx = r.u32();
-    const std::uint32_t idx = r.u32();
-    if (tu_idx >= tus.size() || idx >= tus[tu_idx]->globals.size()) {
-      return std::nullopt;
-    }
-    exe.program.globals.push_back(&tus[tu_idx]->globals[idx]);
-  }
-
-  const std::uint32_t nchunks = r.u32();
-  for (std::uint32_t i = 0; i < nchunks && r.ok(); ++i) {
-    minic::Chunk chunk;
-    if (!minic::decode_chunk(r, nodes, *exe.builtins, &chunk) ||
-        chunk.fn == nullptr) {
-      return std::nullopt;
-    }
-    const minic::FunctionDecl* fn = chunk.fn;
-    exe.chunks->put(fn, std::make_shared<const minic::Chunk>(
-                            std::move(chunk)));
-  }
-
-  const std::uint32_t nlambdas = r.u32();
-  for (std::uint32_t i = 0; i < nlambdas && r.ok(); ++i) {
-    minic::Chunk chunk;
-    if (!minic::decode_chunk(r, nodes, *exe.builtins, &chunk) ||
-        chunk.lambda_body == nullptr) {
-      return std::nullopt;
-    }
-    const minic::Stmt* body = chunk.lambda_body;
-    exe.chunks->put_lambda(body, std::make_shared<const minic::Chunk>(
-                                     std::move(chunk)));
+    const auto* gv = decode_ref(tus, &TranslationUnit::globals, r);
+    if (gv == nullptr) return std::nullopt;
+    exe.program.globals.push_back(gv);
   }
 
   for (const auto& tu : tus) exe.diags.merge(tu->diags);
@@ -353,8 +259,8 @@ execsim::Executable LinkCache::link(
     impl_->entries.visit(key, [&payload](Impl::Entry* entry) {
       if (entry != nullptr) payload = entry->payload;
     });
-    // Decode outside the shard lock (chunk decoding is the expensive
-    // part); the flight keeps other threads from decoding it too.
+    // Decode outside the shard lock; the flight keeps other threads from
+    // decoding it too.
     if (!payload.empty()) {
       if (auto exe = decode_link(payload, tus, caps)) {
         impl_->entries.visit(key, [&exe](Impl::Entry* entry) {
@@ -372,8 +278,7 @@ execsim::Executable LinkCache::link(
     execsim::Executable exe = cold_link();
     // Only successful links are recorded: failed ones re-run through the
     // real linker. The entry copy shares the TUs, builtin table, and
-    // ChunkPack, so chunks the VM compiles while the program runs are
-    // already in the recorded entry when flush() serializes it.
+    // ChunkPack, so every later hit reuses the chunks a Vm run compiled.
     if (exe.ok()) {
       impl_->entries.upsert(key, [&exe](Impl::Entry& entry) {
         if (!entry.exe.has_value()) entry.exe = exe;

@@ -6,10 +6,11 @@
 // so a hit certifies that every input of the original link is
 // byte-identical. The hit hands back a ready Executable: the link tables
 // (functions/structs/globals) are reconstructed from persisted
-// (tu_index, item_index) references into the live TUs — link_units never
-// runs — and every function body arrives as a pre-compiled bytecode Chunk
-// in the executable's shared ChunkPack, so a fully-warm start performs no
-// builds, no TU compiles, no parses, and no links.
+// (tu_index, item_index) references into the live TUs, so link_units
+// never runs and a fully-warm start performs no builds, no TU compiles,
+// no parses, and no links. No bytecode is persisted: the executable's
+// ChunkPack starts empty, and a Vm run compiles into it lazily exactly as
+// after a cold link.
 //
 // The key folds the TU keys in *command order*, not as a sorted set: the
 // order of LinkedProgram::globals (and therefore global initialization) is
@@ -18,10 +19,10 @@
 //
 // Only successful links are recorded — failed links re-run so their
 // diagnostics come from the real linker path. Payloads are serialized
-// lazily at flush() (magic "PVL1" + format version + content hash; chunk
-// bodies via minic's chunk codec) into the journaled store's "lnk1"
-// stream, written under minic::obj_stream_version so a codec bump
-// cold-starts it together with "obj1".
+// lazily at flush() (magic "PVL1" + format version + content hash) into
+// the journaled store's "lnk1" stream, written under
+// minic::obj_stream_version so a codec bump cold-starts it together with
+// "obj1".
 
 #include <cstdint>
 #include <functional>
@@ -86,10 +87,9 @@ class LinkCache {
   bool attach(cache::Store& store, std::uint64_t version);
   /// Replay without binding — imported records flush() forward.
   bool import_store(cache::Store& store, std::uint64_t version);
-  /// Serialize every recorded link the attached store has not seen (all
-  /// function chunks are compiled first, so a warm hit starts fully
-  /// compiled) and append them as one locked batch. An entry that cannot
-  /// be encoded is skipped, never half-written.
+  /// Serialize every recorded link the attached store has not seen and
+  /// append them as one locked batch. Compiles nothing. An entry that
+  /// cannot be encoded is skipped, never half-written.
   std::size_t flush();
   /// Pinned-key counters object: hits, persisted_hits, misses, lookups,
   /// entries, plus the "lnk1" stream's "journal" block when a store is

@@ -191,8 +191,8 @@ class ScoreCache {
   const buildsim::TuCompileCache& tus() const noexcept { return tus_; }
 
   /// The link layer of the warm-object store: content-addressed link
-  /// outcomes with pre-compiled bytecode, consulted by every link the
-  /// layers above miss. Shares the TU layer's attach/flush lifecycle.
+  /// tables, consulted by every link the layers above miss. Shares the TU
+  /// layer's attach/flush lifecycle.
   buildsim::LinkCache& links() noexcept { return links_; }
   const buildsim::LinkCache& links() const noexcept { return links_; }
 

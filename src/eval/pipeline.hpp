@@ -172,8 +172,8 @@ class ScoringPipeline {
   /// (and persisted failed plans skip the build entirely).
   buildsim::TuCompileCache* tu_cache_ = nullptr;
   /// The warm-object layer's link cache, likewise threaded into
-  /// build_repo: a hit replaces link_units with a deserialized,
-  /// pre-compiled executable.
+  /// build_repo: a hit replaces link_units with an executable rebuilt
+  /// from the persisted link tables.
   buildsim::LinkCache* link_cache_ = nullptr;
   minic::EngineKind engine_ = minic::EngineKind::Interp;
 };

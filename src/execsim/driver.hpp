@@ -27,9 +27,10 @@ struct Executable {
   // must see the one table those pointers resolve into.
   std::shared_ptr<const minic::BuiltinTable> builtins;
   minic::DiagBag diags;  // compile + link diagnostics
-  // Shared compiled-bytecode cache for the VM engine. Created (empty) by
-  // link_tus, pre-filled by a warm link-cache hit; every run of this
+  // Shared compiled-bytecode cache for the VM engine. Created empty by
+  // link_tus and by a warm link-cache hit alike; every Vm run of this
   // executable reuses it, so a function compiles at most once per link.
+  // The tree-walking Interpreter never touches it.
   std::shared_ptr<minic::ChunkPack> chunks;
 
   bool ok() const { return !diags.has_errors(); }

@@ -1,7 +1,6 @@
 #include "minic/bytecode.hpp"
 
 #include "minic/machine.hpp"
-#include "minic/objcodec.hpp"
 
 namespace pareval::minic {
 
@@ -898,7 +897,6 @@ std::unique_ptr<Chunk> compile_lambda(const Stmt& body,
                                       const LinkedProgram& prog,
                                       const BuiltinTable& builtins) {
   auto ch = std::make_unique<Chunk>();
-  ch->lambda_body = &body;
   Compiler c{prog, builtins, *ch};
   c.compile_stmt(body);
   {
@@ -912,12 +910,6 @@ std::unique_ptr<Chunk> compile_lambda(const Stmt& body,
 
 // --- ChunkPack --------------------------------------------------------------
 
-std::shared_ptr<const Chunk> ChunkPack::get(const FunctionDecl* fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = chunks_.find(fn);
-  return it == chunks_.end() ? nullptr : it->second;
-}
-
 const Chunk& ChunkPack::get_or_compile(const FunctionDecl& fn,
                                        const LinkedProgram& prog,
                                        const BuiltinTable& builtins) {
@@ -928,27 +920,15 @@ const Chunk& ChunkPack::get_or_compile(const FunctionDecl& fn,
   }
   // Compile outside the lock: compilation is pure, so two racing threads
   // just produce identical chunks and the first insert wins.
-  std::shared_ptr<const Chunk> fresh = compile_function(fn, prog, builtins);
+  std::unique_ptr<const Chunk> fresh = compile_function(fn, prog, builtins);
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = chunks_.emplace(&fn, std::move(fresh));
   return *it->second;
 }
 
-void ChunkPack::put(const FunctionDecl* fn,
-                    std::shared_ptr<const Chunk> chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  chunks_.emplace(fn, std::move(chunk));  // existing entry wins
-}
-
 std::size_t ChunkPack::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return chunks_.size();
-}
-
-std::shared_ptr<const Chunk> ChunkPack::get_lambda(const Stmt* body) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = lambda_chunks_.find(body);
-  return it == lambda_chunks_.end() ? nullptr : it->second;
 }
 
 const Chunk& ChunkPack::get_or_compile_lambda(const Stmt& body,
@@ -959,226 +939,15 @@ const Chunk& ChunkPack::get_or_compile_lambda(const Stmt& body,
     const auto it = lambda_chunks_.find(&body);
     if (it != lambda_chunks_.end()) return *it->second;
   }
-  std::shared_ptr<const Chunk> fresh = compile_lambda(body, prog, builtins);
+  std::unique_ptr<const Chunk> fresh = compile_lambda(body, prog, builtins);
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = lambda_chunks_.emplace(&body, std::move(fresh));
   return *it->second;
 }
 
-void ChunkPack::put_lambda(const Stmt* body,
-                           std::shared_ptr<const Chunk> chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  lambda_chunks_.emplace(body, std::move(chunk));  // existing entry wins
-}
-
 std::size_t ChunkPack::lambda_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lambda_chunks_.size();
-}
-
-// --- binary chunk codec -----------------------------------------------------
-
-namespace {
-
-constexpr std::uint8_t kMaxOp = static_cast<std::uint8_t>(Op::End);
-
-/// Subchunk nesting bound: OMP regions nest a handful deep in practice;
-/// the cap keeps a (hash-sealed, so effectively impossible) pathological
-/// payload from recursing the decoder off the stack.
-constexpr int kMaxSubchunkDepth = 32;
-
-/// Ops whose `node` payload is an Expr / Stmt / VarDecl / FunctionDecl.
-/// Every other op ignores the field (it must be null).
-bool node_is_expr(Op op) {
-  return op == Op::TreeEval || op == Op::Member || op == Op::CallGuard ||
-         op == Op::Lambda || op == Op::LvTree;
-}
-bool node_is_stmt(Op op) {
-  return op == Op::TreeStmt || op == Op::OmpData || op == Op::OmpExec;
-}
-bool node_is_vardecl(Op op) {
-  return op == Op::DeclArr || op == Op::DeclStruct;
-}
-
-bool encode_chunk_body(const Chunk& chunk, const NodeTable& nodes,
-                       BinWriter& w, int depth);
-bool decode_chunk_body(BinReader& r, const NodeTable& nodes,
-                       const BuiltinTable& builtins, Chunk* out, int depth);
-
-bool encode_chunk_body(const Chunk& chunk, const NodeTable& nodes,
-                       BinWriter& w, int depth) {
-  if (depth > kMaxSubchunkDepth) return false;
-  w.i32(chunk.num_regs);
-  w.u32(static_cast<std::uint32_t>(chunk.consts.size()));
-  for (const Value& v : chunk.consts) {
-    if (!encode_value(v, w)) return false;
-  }
-  w.u32(static_cast<std::uint32_t>(chunk.names.size()));
-  for (const std::string& n : chunk.names) w.str(n);
-  w.u32(static_cast<std::uint32_t>(chunk.types.size()));
-  for (const Type& t : chunk.types) encode_type(t, w);
-  w.u32(static_cast<std::uint32_t>(chunk.code.size()));
-  for (const Instr& in : chunk.code) {
-    w.u8(static_cast<std::uint8_t>(in.op));
-    w.u16(in.a);
-    w.u16(in.b);
-    w.u16(in.c);
-    w.u8(static_cast<std::uint8_t>(in.binop));
-    w.boolean(in.flag);
-    w.i32(in.imm);
-    w.i32(in.imm2);
-    w.i32(in.fuel);
-    w.i32(in.fuel_line);
-    w.i32(in.line);
-    if (in.op == Op::Builtin) {
-      // The BuiltinDef lives in the build configuration's table, not the
-      // AST: serialize by name and re-resolve on decode.
-      if (in.node == nullptr) return false;
-      w.str(static_cast<const BuiltinDef*>(in.node)->name);
-    } else if (node_is_expr(in.op) || node_is_stmt(in.op) ||
-               node_is_vardecl(in.op) || in.op == Op::CallFn) {
-      const std::int32_t idx = nodes.index_of(in.node);
-      if (idx < 0) return false;
-      w.i32(idx);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(chunk.subchunks.size()));
-  for (const auto& sub : chunk.subchunks) {
-    if (sub == nullptr || !encode_chunk_body(*sub, nodes, w, depth + 1)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool encode_chunk(const Chunk& chunk, const NodeTable& nodes, BinWriter& w) {
-  if (chunk.fn != nullptr) {
-    const std::int32_t fn_index = nodes.index_of(chunk.fn);
-    if (fn_index < 0) return false;
-    w.u8(0);  // function chunk
-    w.i32(fn_index);
-  } else {
-    const std::int32_t body_index = nodes.index_of(chunk.lambda_body);
-    if (body_index < 0) return false;
-    w.u8(1);  // lambda chunk
-    w.i32(body_index);
-  }
-  return encode_chunk_body(chunk, nodes, w, 0);
-}
-
-namespace {
-
-bool decode_chunk_body(BinReader& r, const NodeTable& nodes,
-                       const BuiltinTable& builtins, Chunk* out, int depth) {
-  if (depth > kMaxSubchunkDepth) {
-    r.fail();
-    return false;
-  }
-  out->num_regs = r.i32();
-  const std::uint32_t nconsts = r.u32();
-  for (std::uint32_t i = 0; r.ok() && i < nconsts; ++i) {
-    Value v;
-    if (!decode_value(r, &v)) return false;
-    out->consts.push_back(std::move(v));
-  }
-  const std::uint32_t nnames = r.u32();
-  for (std::uint32_t i = 0; r.ok() && i < nnames; ++i) {
-    out->names.push_back(r.str());
-  }
-  const std::uint32_t ntypes = r.u32();
-  for (std::uint32_t i = 0; r.ok() && i < ntypes; ++i) {
-    Type t;
-    if (!decode_type(r, &t)) return false;
-    out->types.push_back(std::move(t));
-  }
-  const std::uint32_t ncode = r.u32();
-  for (std::uint32_t i = 0; r.ok() && i < ncode; ++i) {
-    Instr in;
-    const std::uint8_t op = r.u8();
-    if (op > kMaxOp) {
-      r.fail();
-      return false;
-    }
-    in.op = static_cast<Op>(op);
-    in.a = r.u16();
-    in.b = r.u16();
-    in.c = r.u16();
-    in.binop = static_cast<signed char>(r.u8());
-    in.flag = r.boolean();
-    in.imm = r.i32();
-    in.imm2 = r.i32();
-    in.fuel = r.i32();
-    in.fuel_line = r.i32();
-    in.line = r.i32();
-    if (in.op == Op::Builtin) {
-      in.node = builtins.find(r.str());
-    } else if (node_is_expr(in.op)) {
-      in.node = nodes.at(static_cast<std::uint32_t>(r.i32()),
-                         NodeTable::Kind::Expr);
-    } else if (node_is_stmt(in.op)) {
-      in.node = nodes.at(static_cast<std::uint32_t>(r.i32()),
-                         NodeTable::Kind::Stmt);
-    } else if (node_is_vardecl(in.op)) {
-      in.node = nodes.at(static_cast<std::uint32_t>(r.i32()),
-                         NodeTable::Kind::VarDecl);
-    } else if (in.op == Op::CallFn) {
-      in.node = nodes.at(static_cast<std::uint32_t>(r.i32()),
-                         NodeTable::Kind::Function);
-    } else {
-      out->code.push_back(in);
-      continue;
-    }
-    if (in.node == nullptr) {
-      r.fail();
-      return false;
-    }
-    out->code.push_back(in);
-  }
-  const std::uint32_t nsubs = r.u32();
-  for (std::uint32_t i = 0; r.ok() && i < nsubs; ++i) {
-    Chunk sub;
-    if (!decode_chunk_body(r, nodes, builtins, &sub, depth + 1)) {
-      return false;
-    }
-    out->subchunks.push_back(
-        std::make_shared<const Chunk>(std::move(sub)));
-  }
-  // Every OmpExec must address a decoded subchunk.
-  for (const Instr& in : out->code) {
-    if (in.op == Op::OmpExec && in.a >= out->subchunks.size()) {
-      r.fail();
-      return false;
-    }
-  }
-  return r.ok();
-}
-
-}  // namespace
-
-bool decode_chunk(BinReader& r, const NodeTable& nodes,
-                  const BuiltinTable& builtins, Chunk* out) {
-  const std::uint8_t tag = r.u8();
-  if (tag == 0) {
-    out->fn = static_cast<const FunctionDecl*>(nodes.at(
-        static_cast<std::uint32_t>(r.i32()), NodeTable::Kind::Function));
-    if (out->fn == nullptr) {
-      r.fail();
-      return false;
-    }
-  } else if (tag == 1) {
-    out->lambda_body = static_cast<const Stmt*>(nodes.at(
-        static_cast<std::uint32_t>(r.i32()), NodeTable::Kind::Stmt));
-    if (out->lambda_body == nullptr) {
-      r.fail();
-      return false;
-    }
-  } else {
-    r.fail();
-    return false;
-  }
-  return decode_chunk_body(r, nodes, builtins, out, 0);
 }
 
 }  // namespace pareval::minic

@@ -28,10 +28,6 @@
 
 namespace pareval::minic {
 
-class BinReader;
-class BinWriter;
-class NodeTable;
-
 enum class Op : unsigned char {
   Step,        // burn fuel only (fused charges at a jump target)
   LoadConst,   // r[a] = consts[imm]
@@ -100,12 +96,10 @@ struct Instr {
 };
 
 struct Chunk {
-  // Exactly one identity is set: `fn` for a named function's chunk,
-  // `lambda_body` for a lambda body's chunk (keyed by the Closure's body
-  // statement). OMP-region subchunks carry neither — they are owned and
-  // reached positionally through their parent's `subchunks`.
+  // Set for a named function's chunk only: a lambda body's chunk returns
+  // uncoerced, and OMP-region subchunks are owned and reached positionally
+  // through their parent's `subchunks`.
   const FunctionDecl* fn = nullptr;
-  const Stmt* lambda_body = nullptr;
   std::vector<Instr> code;
   std::vector<Value> consts;
   std::vector<std::string> names;
@@ -132,58 +126,33 @@ std::unique_ptr<Chunk> compile_lambda(const Stmt& body,
                                       const LinkedProgram& prog,
                                       const BuiltinTable& builtins);
 
-/// Thread-safe per-executable chunk cache, shared by every engine instance
-/// running one linked program: first call compiles (or a warm link-cache
-/// hit pre-fills), every later call — across samples, targets, and threads
-/// — reuses the immutable Chunk. Entries are never evicted, so a returned
-/// reference stays valid for the pack's lifetime.
+/// Thread-safe per-executable chunk cache, shared by every Vm instance
+/// running one linked program: the first call compiles, every later call —
+/// across samples, targets, and threads — reuses the immutable Chunk. The
+/// pack starts empty for every link, cold or object-warm (chunks are never
+/// persisted), and only the Vm fills it. Entries are never evicted, so a
+/// returned reference stays valid for the pack's lifetime.
 class ChunkPack {
  public:
-  /// nullptr when `fn` has no chunk yet.
-  std::shared_ptr<const Chunk> get(const FunctionDecl* fn) const;
   /// The cached chunk, compiling it on first request. Racing compilers
   /// produce identical chunks; the first insert wins.
   const Chunk& get_or_compile(const FunctionDecl& fn,
                               const LinkedProgram& prog,
                               const BuiltinTable& builtins);
-  void put(const FunctionDecl* fn, std::shared_ptr<const Chunk> chunk);
   std::size_t size() const;
 
   // Lambda-body chunks, keyed by the Closure's body statement (stable for
   // the program's lifetime; every closure over the same LambdaExpr shares
   // one chunk). Same compile-once / never-evict discipline as functions.
-  std::shared_ptr<const Chunk> get_lambda(const Stmt* body) const;
   const Chunk& get_or_compile_lambda(const Stmt& body,
                                      const LinkedProgram& prog,
                                      const BuiltinTable& builtins);
-  void put_lambda(const Stmt* body, std::shared_ptr<const Chunk> chunk);
   std::size_t lambda_size() const;
 
  private:
   mutable std::mutex mu_;
-  std::map<const FunctionDecl*, std::shared_ptr<const Chunk>> chunks_;
-  std::map<const Stmt*, std::shared_ptr<const Chunk>> lambda_chunks_;
+  std::map<const FunctionDecl*, std::unique_ptr<const Chunk>> chunks_;
+  std::map<const Stmt*, std::unique_ptr<const Chunk>> lambda_chunks_;
 };
-
-// --- binary chunk codec (warm-object persistence) ---------------------------
-//
-// Instruction `node` pointers are relocated through a NodeTable
-// (minic/objcodec.hpp) built identically over the original and the
-// decoded program; Builtin instructions serialize the builtin's name and
-// re-resolve against the BuiltinTable of the decoding build. The payload
-// framing (magic/format version/content hash) is the link cache's job —
-// these encode raw chunk bodies into an already-sealed stream.
-
-/// Append `chunk` to `w` (a function or lambda chunk, tagged; OMP-region
-/// subchunks are encoded recursively inside their parent). False when a
-/// referenced node is not enumerated in `nodes` or a pooled constant has
-/// an unexpected kind — the caller must skip persisting that program
-/// rather than write a partial record.
-bool encode_chunk(const Chunk& chunk, const NodeTable& nodes, BinWriter& w);
-
-/// Decode one chunk (including its owning function / lambda-body
-/// reference). False on any malformed field; `out` is unusable then.
-bool decode_chunk(BinReader& r, const NodeTable& nodes,
-                  const BuiltinTable& builtins, Chunk* out);
 
 }  // namespace pareval::minic

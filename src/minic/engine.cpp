@@ -30,8 +30,7 @@ std::unique_ptr<ExecEngine> make_engine(EngineKind kind,
     case EngineKind::Interp:
       break;
   }
-  return std::make_unique<Interpreter>(prog, builtins, limits,
-                                       std::move(chunks));
+  return std::make_unique<Interpreter>(prog, builtins, limits);
 }
 
 }  // namespace pareval::minic

@@ -49,9 +49,9 @@ class ExecEngine {
 class ChunkPack;
 
 /// Engine factory: the one place that maps EngineKind to a concrete class.
-/// `chunks` (optional) is a shared compiled-chunk cache for the Vm backend
-/// — pre-filled by a warm link-cache hit, reused across runs; the
-/// tree-walker ignores it.
+/// `chunks` (optional) is the executable's shared compiled-chunk cache for
+/// the Vm backend: empty after every link, cold or object-warm, and filled
+/// lazily by Vm runs. The tree-walker ignores it and runs no chunk.
 std::unique_ptr<ExecEngine> make_engine(EngineKind kind,
                                         const LinkedProgram& prog,
                                         const BuiltinTable& builtins,

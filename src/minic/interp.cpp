@@ -5,22 +5,13 @@
 namespace pareval::minic {
 
 Interpreter::Interpreter(const LinkedProgram& prog,
-                         const BuiltinTable& builtins, RunLimits limits,
-                         std::shared_ptr<ChunkPack> chunks)
-    : machine_(std::make_unique<Machine>(prog, builtins, limits)) {
-  // Reuse-only: jit_lambdas stays false, so the machine runs exactly the
-  // chunks the pack already holds (warm-decoded) and tree-walks the rest.
-  machine_->chunks = std::move(chunks);
-}
+                         const BuiltinTable& builtins, RunLimits limits)
+    : machine_(std::make_unique<Machine>(prog, builtins, limits)) {}
 
 Interpreter::~Interpreter() = default;
 
 RunResult Interpreter::run(const std::vector<std::string>& args) {
   return machine_->run(args);
-}
-
-long long Interpreter::tree_fallbacks() const {
-  return machine_->tree_fallbacks;
 }
 
 }  // namespace pareval::minic

@@ -9,7 +9,9 @@
 //
 // The interpreter is the reference semantics; the bytecode `Vm`
 // (minic/vm.hpp) must match it bit-for-bit. Both drive the shared `Machine`
-// runtime — this class is a thin ExecEngine shell over it.
+// runtime — this class is a thin ExecEngine shell over it. It is a pure
+// tree-walker: it never compiles or runs a bytecode chunk, so a Vm result
+// is always checked against an execution that shares no bytecode with it.
 
 #include <memory>
 #include <string>
@@ -23,19 +25,13 @@ class Machine;
 
 class Interpreter final : public ExecEngine {
  public:
-  /// `chunks` (optional): compiled chunks a warm object decode pre-filled.
-  /// The tree-walker never compiles, but it will run a pre-compiled lambda
-  /// body through its chunk (call_closure) — bit-identical either way.
   Interpreter(const LinkedProgram& prog, const BuiltinTable& builtins,
-              RunLimits limits = {},
-              std::shared_ptr<ChunkPack> chunks = nullptr);
+              RunLimits limits = {});
   ~Interpreter() override;
 
   /// Run main() with the given command-line arguments (argv[1..]).
   RunResult run(const std::vector<std::string>& args) override;
   EngineKind kind() const override { return EngineKind::Interp; }
-  /// Non-zero only when warm-decoded chunks ran tree-fallback instructions.
-  long long tree_fallbacks() const override;
 
  private:
   std::unique_ptr<Machine> machine_;

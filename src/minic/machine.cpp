@@ -1111,6 +1111,8 @@ Value Machine::call_function(const FunctionDecl& fn, std::vector<Value> args,
   return ret;
 }
 
+void Machine::run_lambda_body(const Stmt& body) { exec(body); }
+
 Value Machine::launch_kernel(const FunctionDecl& fn, const Expr& e) {
   auto as_dim3 = [&](const Expr& cfg) -> Value::Dim3 {
     const Value v = eval(cfg);
@@ -1776,27 +1778,9 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
   ExecEnv ee;
   ee.device = on_device;
   exec_envs.push_back(ee);
-  // Run the body through its compiled chunk when one is available: the Vm
-  // compiles on first call, the Interpreter reuses chunks a warm object
-  // decode pre-filled. The chunk replays the tree-walker's fuel charges
-  // exactly, so either path is bit-identical.
-  const Chunk* lam = nullptr;
-  std::shared_ptr<const Chunk> lam_hold;  // pack entries never evict
-  if (chunks != nullptr) {
-    if (jit_lambdas) {
-      lam = &chunks->get_or_compile_lambda(*c.body, prog, builtins);
-    } else {
-      lam_hold = chunks->get_lambda(c.body);
-      lam = lam_hold.get();
-    }
-  }
   const std::size_t base_scopes = frames.back().scopes.size();
   try {
-    if (lam != nullptr) {
-      execute(*lam);  // a top-level compiled return ends the chunk
-    } else {
-      exec(*c.body);
-    }
+    run_lambda_body(*c.body);
   } catch (ReturnSig&) {
     // lambdas in our dialect return void
   } catch (...) {

@@ -3,8 +3,9 @@
 // the OpenMP device data environment, RNG state, and the tree-walking
 // evaluator. Both execution engines run on this one class — the legacy
 // `Interpreter` drives it as-is, while the bytecode `Vm` subclasses it and
-// overrides `call_function` to dispatch compiled chunks, falling back to
-// the tree-walker (`eval`/`exec`) for constructs bytecode does not cover.
+// overrides `call_function` and `run_lambda_body` to dispatch compiled
+// chunks, falling back to the tree-walker (`eval`/`exec`) for constructs
+// bytecode does not cover.
 // Keeping a single machine implementation is what makes the engines
 // bit-identical: every observable effect (RunStats, diags, memory, output,
 // the simulated clock) lives here, and the arithmetic/coercion helpers are
@@ -54,7 +55,6 @@ std::optional<BinOp> binop_from_text(const std::string& op);
 const char* binop_text(BinOp op);
 
 struct Chunk;
-class ChunkPack;
 
 class Machine : public InterpCtx {
  public:
@@ -69,17 +69,12 @@ class Machine : public InterpCtx {
   const BuiltinTable& builtins;
   RunLimits limits;
 
-  // Compiled-chunk state. `chunks` may be null (pure tree walk); when set,
-  // call_closure runs lambda bodies through their compiled chunks — the
-  // Vm compiles them on demand (`jit_lambdas`), the Interpreter only
-  // reuses chunks a warm object decode pre-filled. `tree_fallbacks`
-  // counts TreeEval/TreeStmt instructions actually executed: the residual
-  // surface the bytecode compiler could not lower. It is engine-local
+  // TreeEval/TreeStmt instructions execute() actually ran: the residual
+  // surface the bytecode compiler could not lower. Only the Vm runs
+  // chunks, so the Interpreter always leaves it at 0. It is engine-local
   // bookkeeping, deliberately NOT part of RunStats/RunResult (the two
   // engines differ here by design; everything observable stays
   // bit-identical).
-  std::shared_ptr<ChunkPack> chunks;
-  bool jit_lambdas = false;
   long long tree_fallbacks = 0;
 
   RunResult result;
@@ -236,6 +231,10 @@ class Machine : public InterpCtx {
   /// caller in the machine (kernel launches, builtins, tree fallbacks).
   virtual Value call_function(const FunctionDecl& fn, std::vector<Value> args,
                               int line);
+  /// Run a closure's body inside the frame call_closure set up. Virtual
+  /// for the same reason: the tree-walker execs it, the VM runs the body's
+  /// compiled chunk.
+  virtual void run_lambda_body(const Stmt& body);
   Value launch_kernel(const FunctionDecl& fn, const Expr& e);
   /// eval_cast after operand evaluation (pointer retype, numeric casts).
   Value cast_value(Value v, const Type& t, int line);
@@ -255,9 +254,9 @@ class Machine : public InterpCtx {
 
   // ----------------------------------------------------------- bytecode --
   /// Run one compiled chunk in the current frame (the direct-threaded
-  /// dispatch loop, defined in vm.cpp). Every effect goes through the
-  /// shared helpers above, so a chunk is bit-identical to tree-walking
-  /// the same nodes.
+  /// dispatch loop, defined in vm.cpp). Only the Vm reaches it. Every
+  /// effect goes through the shared helpers above, so a chunk is
+  /// bit-identical to tree-walking the same nodes.
   Value execute(const Chunk& ch);
   /// Run an OMP-region subchunk: on abnormal exit (signal/trap) the
   /// frame's scope stack is restored to its entry depth — the compiled

@@ -10,8 +10,8 @@ namespace pareval::minic {
 
 namespace {
 
-// "PVT1" little-endian: the TU payload magic. The chunk/link payloads
-// carry their own magics (bytecode.cpp / linkcache.cpp).
+// "PVT1" little-endian: the TU payload magic. The link payload carries its
+// own magic (buildsim/linkcache.cpp).
 constexpr std::uint32_t kTuMagic = 0x31545650u;
 
 /// Nesting bound for the recursive decoders: far above any AST the parser
@@ -124,7 +124,9 @@ std::string BinReader::str() {
   return std::string(p, n);
 }
 
-// --- field codecs -----------------------------------------------------------
+// --- AST codec --------------------------------------------------------------
+
+namespace {
 
 void encode_type(const Type& t, BinWriter& w) {
   w.u8(static_cast<std::uint8_t>(t.base));
@@ -150,39 +152,6 @@ bool decode_type(BinReader& r, Type* out) {
   out->view_struct_name = r.str();
   return r.ok();
 }
-
-bool encode_value(const Value& v, BinWriter& w) {
-  switch (v.kind) {
-    case Value::Kind::Int:
-      w.u8(0);
-      w.i64(v.i);
-      return true;
-    case Value::Kind::Real:
-      w.u8(1);
-      w.f64(v.d);
-      return true;
-    case Value::Kind::Str:
-      w.u8(2);
-      w.str(v.s);
-      return true;
-    default:
-      return false;  // the compiler never pools other kinds
-  }
-}
-
-bool decode_value(BinReader& r, Value* out) {
-  switch (r.u8()) {
-    case 0: *out = Value::make_int(r.i64()); break;
-    case 1: *out = Value::make_real(r.f64()); break;
-    case 2: *out = Value::make_str(r.str()); break;
-    default: r.fail(); break;
-  }
-  return r.ok();
-}
-
-// --- AST codec --------------------------------------------------------------
-
-namespace {
 
 void enc_stmt(const Stmt& s, BinWriter& w);
 bool dec_stmt(BinReader& r, int depth, Stmt* out);
@@ -572,67 +541,6 @@ std::shared_ptr<TranslationUnit> decode_tu(std::string_view bytes) {
   if (!dec_diags(r, &tu->diags)) return nullptr;
   if (!r.ok() || !r.at_end()) return nullptr;
   return tu;
-}
-
-// --- NodeTable --------------------------------------------------------------
-
-void NodeTable::add(const void* node, Kind kind) {
-  index_.emplace(node, static_cast<std::uint32_t>(nodes_.size()));
-  nodes_.emplace_back(node, kind);
-}
-
-void NodeTable::walk_expr(const Expr* e) {
-  if (e == nullptr) return;
-  add(e, Kind::Expr);
-  for (const auto& kid : e->kids) walk_expr(kid.get());
-  walk_expr(e->launch_grid.get());
-  walk_expr(e->launch_block.get());
-  walk_stmt(e->lambda_body.get());
-}
-
-void NodeTable::walk_var_decl(const VarDecl& d) {
-  add(&d, Kind::VarDecl);
-  walk_expr(d.init.get());
-  for (const auto& a : d.ctor_args) walk_expr(a.get());
-  walk_expr(d.array_size.get());
-}
-
-void NodeTable::walk_stmt(const Stmt* s) {
-  if (s == nullptr) return;
-  add(s, Kind::Stmt);
-  walk_expr(s->expr.get());
-  for (const VarDecl& d : s->decls) walk_var_decl(d);
-  for (const auto& b : s->body) walk_stmt(b.get());
-  walk_stmt(s->then_branch.get());
-  walk_stmt(s->else_branch.get());
-  walk_stmt(s->for_init.get());
-  walk_expr(s->for_inc.get());
-  walk_stmt(s->loop_body.get());
-  walk_stmt(s->omp_body.get());
-}
-
-NodeTable NodeTable::build(
-    const std::vector<std::shared_ptr<TranslationUnit>>& tus) {
-  NodeTable table;
-  for (const auto& tu : tus) {
-    if (tu == nullptr) continue;
-    for (const FunctionDecl& f : tu->functions) {
-      table.add(&f, Kind::Function);
-      table.walk_stmt(f.body.get());
-    }
-  }
-  return table;
-}
-
-std::int32_t NodeTable::index_of(const void* node) const {
-  const auto it = index_.find(node);
-  return it == index_.end() ? -1 : static_cast<std::int32_t>(it->second);
-}
-
-const void* NodeTable::at(std::uint32_t index, Kind expected) const {
-  if (index >= nodes_.size()) return nullptr;
-  const auto& [node, kind] = nodes_[index];
-  return kind == expected ? node : nullptr;
 }
 
 }  // namespace pareval::minic

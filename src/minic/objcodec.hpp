@@ -2,7 +2,9 @@
 // Binary object codec for warm-start persistence: a versioned, hash-sealed
 // little-endian encoding of a post-sema `TranslationUnit` (the TU compile
 // cache's payload for *successful* compiles) plus the shared primitives the
-// chunk codec (minic/bytecode.hpp) and the link cache build on.
+// link cache (buildsim/linkcache.hpp) builds on. Bytecode is never
+// persisted: the Vm compiles each executable's chunks lazily, whether its
+// link was cold or object-warm.
 //
 // Contract: decode(encode(tu)) is behaviorally identical to the original —
 // every field sema wrote (expression types, parsed OMP directives,
@@ -21,21 +23,18 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "minic/ast.hpp"
-#include "minic/value.hpp"
 
 namespace pareval::minic {
 
-/// Bump on ANY change to the binary layout below or in the chunk codec.
-/// v2: tagged chunk identity (function vs lambda), lambda-chunk section
-/// in link payloads, OMP-region subchunks, VarDecl entries in the
-/// NodeTable walk, and the Lambda/HostPar/OmpData/OmpExec/RetSig/LvTree/
-/// DeclArr/DeclStruct opcodes.
-inline constexpr std::uint32_t kObjFormatVersion = 2;
+/// Bump on ANY change to the binary layout below or in the link payload.
+/// v3: link payloads carry only the link tables (functions relocate by
+/// TU index and declaration index, like structs and globals) and the link
+/// step's diagnostics; the chunk and lambda-chunk sections, the chunk
+/// codec, and the NodeTable relocation walk are gone.
+inline constexpr std::uint32_t kObjFormatVersion = 3;
 
 /// The stream version object payload streams (`obj1`, `lnk1`) are written
 /// under: the pipeline version with the codec format version folded in.
@@ -92,14 +91,6 @@ class BinReader {
   bool ok_ = true;
 };
 
-// Shared field codecs (used by the chunk codec's type/const pools).
-void encode_type(const Type& t, BinWriter& w);
-bool decode_type(BinReader& r, Type* out);
-/// Only Int/Real/Str values (everything the bytecode compiler ever puts
-/// in a const pool). Returns false for any other kind.
-bool encode_value(const Value& v, BinWriter& w);
-bool decode_value(BinReader& r, Value* out);
-
 // --- translation units ------------------------------------------------------
 
 /// Serialize a post-sema TU. The payload is self-contained: magic, format
@@ -109,39 +100,5 @@ std::string encode_tu(const TranslationUnit& tu);
 /// nullptr when `bytes` is not a valid current-version payload (torn,
 /// corrupted, or version-bumped) — the caller's cold-miss path.
 std::shared_ptr<TranslationUnit> decode_tu(std::string_view bytes);
-
-// --- node identity ----------------------------------------------------------
-
-/// A deterministic pre-order enumeration of every AST node a compiled
-/// Chunk instruction can reference (each TU's function declarations and
-/// every statement/expression/variable-declarator of their bodies, in
-/// declaration order).
-/// Built identically over the original and the decoded program, it turns
-/// raw `const void*` instruction payloads into stable indices — the chunk
-/// codec's relocation table. The walk order is part of the on-disk
-/// format: changing it requires a kObjFormatVersion bump.
-class NodeTable {
- public:
-  enum class Kind : std::uint8_t { Function, Expr, Stmt, VarDecl };
-
-  static NodeTable build(
-      const std::vector<std::shared_ptr<TranslationUnit>>& tus);
-
-  /// -1 when `node` is not enumerated (encoder's skip-persist signal).
-  std::int32_t index_of(const void* node) const;
-  /// nullptr when out of range or the entry is not of `expected` kind
-  /// (decoder-side validation).
-  const void* at(std::uint32_t index, Kind expected) const;
-  std::size_t size() const noexcept { return nodes_.size(); }
-
- private:
-  void add(const void* node, Kind kind);
-  void walk_expr(const Expr* e);
-  void walk_stmt(const Stmt* s);
-  void walk_var_decl(const VarDecl& d);
-
-  std::vector<std::pair<const void*, Kind>> nodes_;
-  std::unordered_map<const void*, std::uint32_t> index_;
-};
 
 }  // namespace pareval::minic

@@ -15,6 +15,17 @@ using codeanal::Token;
 /// caught at recovery points.
 struct ParseError {};
 
+/// Thrown when the nesting budget runs out. Fatal for the whole TU, like
+/// clang's bracket-depth error: no recovery point catches it, so parsing
+/// stops with the one diagnostic instead of re-parsing deep garbage.
+struct NestingTooDeep {};
+
+/// Nesting budget of the recursive descent (clang's default
+/// -fbracket-depth). It bounds the AST depth every later pass recurses
+/// on, so nested input ends in a CodeSyntax diagnostic, not a stack
+/// overflow.
+constexpr int kMaxNesting = 256;
+
 class Parser {
  public:
   Parser(std::vector<Token> toks, std::string path,
@@ -32,6 +43,8 @@ class Parser {
         parse_top_level();
       } catch (const ParseError&) {
         recover_top_level();
+      } catch (const NestingTooDeep&) {
+        break;
       }
     }
     return tu;
@@ -89,6 +102,29 @@ class Parser {
     tu_->diags.error(DiagCategory::CodeSyntax, msg, path_, peek().line);
     throw ParseError{};
   }
+  /// Holds one level of the nesting budget for its lifetime. Taken where
+  /// the descent enters a statement, an expression, an initializer list,
+  /// or a prefix operand, so each source nesting level costs one unit.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (p_.depth_ >= kMaxNesting) {
+        p_.tu_->diags.error(DiagCategory::CodeSyntax,
+                            "nesting exceeds the maximum depth of " +
+                                std::to_string(kMaxNesting),
+                            p_.path_, p_.peek().line);
+        throw NestingTooDeep{};
+      }
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   void recover_top_level() {
     // Skip to a likely declaration boundary.
     int depth = 0;
@@ -445,6 +481,7 @@ class Parser {
   }
 
   StmtPtr parse_stmt() {
+    const Nest nest(*this);
     const Token& t = peek();
     if (t.kind == TokKind::PpDirective) {
       return parse_pragma_stmt();
@@ -642,6 +679,7 @@ class Parser {
   ExprPtr parse_expr() { return parse_assignment(); }
 
   ExprPtr parse_assignment() {
+    const Nest nest(*this);
     ExprPtr lhs = parse_ternary();
     static const char* kAssignOps[] = {"=",  "+=", "-=", "*=", "/=",
                                        "%=", "&=", "|=", "^=", "<<=", ">>="};
@@ -722,6 +760,7 @@ class Parser {
     for (const char* op : kPrefix) {
       if (check_punct(op)) {
         const Token t = take();
+        const Nest nest(*this);
         if (t.text == "+") return parse_unary();  // unary plus: no-op
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::Unary;
@@ -761,6 +800,7 @@ class Parser {
           e->kind = ExprKind::Cast;
           e->type = t;
           e->line = peek().line;
+          const Nest nest(*this);
           e->kids.push_back(parse_unary());
           return e;
         }
@@ -844,6 +884,7 @@ class Parser {
   }
 
   ExprPtr parse_init_list() {
+    const Nest nest(*this);
     expect_punct("{", "to open initializer list");
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::InitList;
@@ -987,6 +1028,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // nesting levels currently held (see Nest)
   std::string path_;
   TranslationUnit* tu_ = nullptr;
   std::set<std::string> struct_names_;

@@ -16,12 +16,10 @@ namespace pareval::minic {
 struct Vm::Impl final : Machine {
   using Machine::Machine;
 
-  // Machine::chunks is the shared (or private) cache of compiled
-  // functions and lambda bodies. Entries are never evicted, so the
-  // references chunk_for returns outlive the run.
-  const Chunk& chunk_for(const FunctionDecl& fn) {
-    return chunks->get_or_compile(fn, prog, builtins);
-  }
+  // The shared (or private) cache of compiled functions and lambda
+  // bodies. Entries are never evicted, so the references it returns
+  // outlive the run.
+  std::shared_ptr<ChunkPack> chunks;
 
   /// Mirrors Machine::call_function exactly, but runs the function's
   /// compiled chunk. Because every call site in the machine (kernel
@@ -38,7 +36,7 @@ struct Vm::Impl final : Machine {
       trap(DiagCategory::RuntimeFault,
            "call to '" + fn.name + "' with wrong number of arguments", line);
     }
-    const Chunk& ch = chunk_for(fn);
+    const Chunk& ch = chunks->get_or_compile(fn, prog, builtins);
     frames.emplace_back();
     frames.back().scopes.push_back(Scope{next_scope_id++, {}});
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -64,12 +62,18 @@ struct Vm::Impl final : Machine {
     frames.pop_back();
     return ret;
   }
+
+  /// A top-level compiled return ends the lambda chunk; call_closure
+  /// restores the scope depth the interpreter's ReturnSig unwind would.
+  void run_lambda_body(const Stmt& body) override {
+    execute(chunks->get_or_compile_lambda(body, prog, builtins));
+  }
 };
 
-// The dispatch loop lives on Machine (not Vm::Impl) so the Interpreter can
-// run warm-decoded lambda chunks through it too: every effect goes through
-// the shared helpers, and call_function stays virtual, so under the
-// Interpreter a chunk's CallFn still tree-walks the callee.
+// The dispatch loop lives on Machine (not Vm::Impl) because the shared
+// OpenMP region bookkeeping (exec_target / exec_target_data) runs a
+// compiled region body through run_subchunk, which calls back into it.
+// Only the Vm ever reaches it: the Interpreter has no chunks.
 Value Machine::execute(const Chunk& ch) {
   std::unique_ptr<VmScratch> scratch;
   if (!vm_scratch_pool.empty()) {
@@ -586,7 +590,6 @@ Vm::Vm(const LinkedProgram& prog, const BuiltinTable& builtins,
     : impl_(std::make_unique<Impl>(prog, builtins, limits)) {
   impl_->chunks =
       chunks != nullptr ? std::move(chunks) : std::make_shared<ChunkPack>();
-  impl_->jit_lambdas = true;
 }
 
 Vm::~Vm() = default;

@@ -29,8 +29,9 @@ class ChunkPack;
 class Vm final : public ExecEngine {
  public:
   /// `chunks` (optional) is a shared per-program chunk cache: compiled
-  /// functions are reused across Vm instances (and pre-filled by a warm
-  /// link-cache hit). Without one the Vm keeps a private pack.
+  /// functions and lambda bodies are reused across Vm instances. It starts
+  /// empty for every link, cold or object-warm. Without one the Vm keeps a
+  /// private pack.
   Vm(const LinkedProgram& prog, const BuiltinTable& builtins,
      RunLimits limits = {}, std::shared_ptr<ChunkPack> chunks = nullptr);
   ~Vm() override;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include "execsim/driver.hpp"
 
 using pareval::execsim::Executable;
@@ -270,6 +274,60 @@ TEST(Sema, SyntaxErrorMissingBrace) {
                   Capabilities{});
   EXPECT_FALSE(exe.ok());
   EXPECT_TRUE(has_category(exe.diags, DiagCategory::CodeSyntax));
+}
+
+namespace {
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// main() setting x to 1 through `depth` levels of one nested form, then
+/// printing it.
+std::string nested_program(std::string_view form, int depth) {
+  std::string body;
+  if (form == "parens") {
+    body = "x = " + repeat("(", depth) + "1" + repeat(")", depth) + ";";
+  } else if (form == "minus") {
+    body = "x = " + repeat("- ", 2 * (depth / 2)) + "1;";
+  } else if (form == "braces") {
+    body = repeat("{", depth) + " x = 1; " + repeat("}", depth);
+  } else {
+    body = repeat("if (1) ", depth) + "x = 1;";
+  }
+  return "#include <stdio.h>\nint main() {\n  int x = 0;\n  " + body +
+         "\n  printf(\"%d\\n\", x);\n  return 0;\n}\n";
+}
+
+}  // namespace
+
+TEST(Sema, DeepNestingIsACleanSyntaxError) {
+  // Past the parser's nesting budget every form ends in one CodeSyntax
+  // diagnostic instead of overflowing the stack in the parser or in any
+  // later recursive pass.
+  const std::pair<const char*, int> deep[] = {
+      {"parens", 5000}, {"minus", 20000}, {"braces", 20000}, {"if", 20000}};
+  for (const auto& [form, depth] : deep) {
+    const Executable exe =
+        compile_one(nested_program(form, depth), Capabilities{});
+    EXPECT_FALSE(exe.ok()) << form;
+    // The budget error is fatal for the TU: no cascade of recovery errors.
+    std::size_t syntax = 0;
+    for (const auto& d : exe.diags.all()) {
+      if (d.category == DiagCategory::CodeSyntax) ++syntax;
+    }
+    EXPECT_EQ(syntax, 1u) << form << exe.diags.render();
+  }
+}
+
+TEST(Sema, NestingWithinTheBudgetCompilesAndRuns) {
+  for (const char* form : {"parens", "minus", "braces", "if"}) {
+    const RunResult r = run_one(nested_program(form, 200), Capabilities{});
+    EXPECT_TRUE(r.ok) << form;
+    EXPECT_EQ(r.stdout_text, "1\n") << form;
+  }
 }
 
 TEST(Sema, MissingQuotedHeader) {

@@ -1,10 +1,12 @@
-// Warm-object codec tests: TU and chunk payload round trips are
-// bit-identical (encode -> decode -> re-encode equality over the whole
-// seed corpus), any torn / bit-flipped / version-bumped payload decodes
-// to a clean cold miss (never a wrong object), and the end-to-end
-// warm-object store (obj1 + lnk1 streams through a cache::Store) rebuilds
-// a repository with zero source parses and zero links while producing a
-// bit-identical BuildResult.
+// Warm-object codec tests: TU payload round trips are bit-identical
+// (encode -> decode -> re-encode equality over the whole seed corpus) and
+// a program relinked from decoded TUs runs bit-identically under both
+// engines, any torn / bit-flipped / version-bumped payload decodes to a
+// clean cold miss (never a wrong object), and the end-to-end warm-object
+// store (obj1 + lnk1 streams through a cache::Store) rebuilds a repository
+// with zero source parses and zero links while producing a bit-identical
+// BuildResult. No layer persists bytecode: flush compiles nothing, and
+// only the Vm ever fills an executable's ChunkPack.
 
 #include <gtest/gtest.h>
 
@@ -39,24 +41,32 @@ std::string temp_store_dir(const char* name) {
   return dir;
 }
 
+struct SeedBuild {
+  const apps::AppSpec* app = nullptr;
+  buildsim::BuildResult build;
+};
+
 /// Every successfully linked seed implementation (the population the
-/// object store persists).
-std::vector<buildsim::BuildResult> seed_builds() {
-  std::vector<buildsim::BuildResult> builds;
+/// object store persists), with the app whose tests it runs.
+std::vector<SeedBuild> seed_builds() {
+  std::vector<SeedBuild> builds;
   for (const apps::AppSpec* app : apps::all_apps()) {
     for (const apps::Model m : app->available) {
       auto build = buildsim::build_repo(app->repos.at(m));
-      if (build.ok) builds.push_back(std::move(build));
+      if (build.ok) builds.push_back({app, std::move(build)});
     }
   }
   return builds;
 }
 
+constexpr minic::EngineKind kEngines[] = {minic::EngineKind::Interp,
+                                          minic::EngineKind::Vm};
+
 }  // namespace
 
 TEST(ObjCodec, TuRoundTripIsBitIdentical) {
   std::size_t tus = 0;
-  for (const auto& build : seed_builds()) {
+  for (const auto& [app, build] : seed_builds()) {
     for (const auto& tu : build.exe->program.tus) {
       const std::string first = minic::encode_tu(*tu);
       ASSERT_FALSE(first.empty());
@@ -71,63 +81,29 @@ TEST(ObjCodec, TuRoundTripIsBitIdentical) {
   EXPECT_GT(tus, 0u);
 }
 
-TEST(ObjCodec, DecodedTuCompilesIdenticalChunks) {
-  for (const auto& build : seed_builds()) {
+TEST(ObjCodec, DecodedTuRelinksAndRunsBitIdentical) {
+  for (const auto& [app, build] : seed_builds()) {
     const auto& exe = *build.exe;
-    const auto builtins = execsim::make_builtin_table(exe.program.caps);
-    const minic::NodeTable nodes =
-        minic::NodeTable::build(exe.program.tus);
-    // Round-trip the TUs, relink, and compare each function's compiled
-    // chunk bytes against the original program's: decoded ASTs must be
-    // semantically indistinguishable inputs to the bytecode compiler.
+    // Round-trip the TUs and relink: decoded ASTs must be semantically
+    // indistinguishable, so every app test's full RunResult (`steps`
+    // included) matches the original program's under both engines.
     std::vector<std::shared_ptr<minic::TranslationUnit>> decoded;
     for (const auto& tu : exe.program.tus) {
       auto copy = minic::decode_tu(minic::encode_tu(*tu));
       ASSERT_NE(copy, nullptr);
       decoded.push_back(std::move(copy));
     }
-    auto relinked = execsim::link_tus(decoded, exe.program.caps);
+    const auto relinked = execsim::link_tus(decoded, exe.program.caps);
     ASSERT_TRUE(relinked.ok());
-    const auto builtins2 =
-        execsim::make_builtin_table(relinked.program.caps);
-    const minic::NodeTable nodes2 =
-        minic::NodeTable::build(relinked.program.tus);
-    for (const auto& [name, fn] : exe.program.functions) {
-      minic::ChunkPack pack;
-      minic::BinWriter original;
-      ASSERT_TRUE(minic::encode_chunk(
-          pack.get_or_compile(*fn, exe.program, builtins), nodes,
-          original));
-      const auto it = relinked.program.functions.find(name);
-      ASSERT_NE(it, relinked.program.functions.end());
-      minic::ChunkPack pack2;
-      minic::BinWriter rebuilt;
-      ASSERT_TRUE(minic::encode_chunk(
-          pack2.get_or_compile(*it->second, relinked.program, builtins2),
-          nodes2, rebuilt));
-      EXPECT_EQ(original.bytes(), rebuilt.bytes()) << name;
-    }
-  }
-}
-
-TEST(ObjCodec, ChunkRoundTripIsBitIdentical) {
-  for (const auto& build : seed_builds()) {
-    const auto& exe = *build.exe;
-    const auto builtins = execsim::make_builtin_table(exe.program.caps);
-    const minic::NodeTable nodes =
-        minic::NodeTable::build(exe.program.tus);
-    minic::ChunkPack pack;
-    for (const auto& [name, fn] : exe.program.functions) {
-      minic::BinWriter w;
-      ASSERT_TRUE(minic::encode_chunk(
-          pack.get_or_compile(*fn, exe.program, builtins), nodes, w));
-      minic::BinReader r(w.bytes());
-      minic::Chunk decoded;
-      ASSERT_TRUE(minic::decode_chunk(r, nodes, builtins, &decoded));
-      ASSERT_TRUE(r.ok() && r.at_end());
-      minic::BinWriter again;
-      ASSERT_TRUE(minic::encode_chunk(decoded, nodes, again));
-      EXPECT_EQ(again.bytes(), w.bytes()) << name;
+    for (const auto& tc : app->tests) {
+      for (const auto engine : kEngines) {
+        const auto want = execsim::run_executable(exe, tc.args,
+                                                  minic::RunLimits{}, engine);
+        const auto got = execsim::run_executable(relinked, tc.args,
+                                                 minic::RunLimits{}, engine);
+        EXPECT_EQ(minic::to_json(got).dump(), minic::to_json(want).dump())
+            << app->name << " engine " << minic::engine_key(engine);
+      }
     }
   }
 }
@@ -136,7 +112,7 @@ TEST(ObjCodec, TruncatedPayloadIsACleanMiss) {
   const auto builds = seed_builds();
   ASSERT_FALSE(builds.empty());
   const std::string payload =
-      minic::encode_tu(*builds.front().exe->program.tus.front());
+      minic::encode_tu(*builds.front().build.exe->program.tus.front());
   // Every proper prefix must decode to nullptr — a torn journal record
   // can never resurrect as a wrong TU.
   for (std::size_t len = 0; len < payload.size();
@@ -149,7 +125,7 @@ TEST(ObjCodec, BitFlippedPayloadIsACleanMiss) {
   const auto builds = seed_builds();
   ASSERT_FALSE(builds.empty());
   const std::string payload =
-      minic::encode_tu(*builds.front().exe->program.tus.front());
+      minic::encode_tu(*builds.front().build.exe->program.tus.front());
   // A strided sample of single-bit corruptions across the payload
   // (header, seal, and body): the content hash must reject all of them.
   for (std::size_t pos = 0; pos < payload.size();
@@ -164,7 +140,7 @@ TEST(ObjCodec, VersionBumpedPayloadIsACleanMiss) {
   const auto builds = seed_builds();
   ASSERT_FALSE(builds.empty());
   const std::string payload =
-      minic::encode_tu(*builds.front().exe->program.tus.front());
+      minic::encode_tu(*builds.front().build.exe->program.tus.front());
   // The format version is the u32 after the 4-byte magic; a payload from
   // any other codec version must cold-miss, not misparse.
   std::string bumped = payload;
@@ -226,11 +202,10 @@ TEST(ObjCodec, WarmStoreRebuildsWithZeroParsesAndZeroLinks) {
   EXPECT_EQ(warm.diags.all().size(), cold.diags.all().size());
   ASSERT_TRUE(warm.exe.has_value());
   // ...and its executable runs the app's tests bit-identically, under
-  // both engines (the decoded chunks drive the VM directly).
+  // both engines (the VM compiles the rebuilt program's chunks lazily).
   for (const auto& tc : app->tests) {
     const auto ref = execsim::run_executable(*cold.exe, tc.args);
-    for (const auto engine :
-         {minic::EngineKind::Interp, minic::EngineKind::Vm}) {
+    for (const auto engine : kEngines) {
       const auto got = execsim::run_executable(*warm.exe, tc.args,
                                                minic::RunLimits{}, engine);
       EXPECT_EQ(minic::to_json(got).dump(), minic::to_json(ref).dump());
@@ -249,13 +224,13 @@ TEST(ObjCodec, WarmStoreRebuildsWithZeroParsesAndZeroLinks) {
   std::filesystem::remove_all(dir, ec);
 }
 
-TEST(ObjCodec, WarmLinkDecodesLambdaChunksAndRunsBitIdentical) {
-  // A Kokkos implementation's link payload carries its lambda-body chunks
-  // too: the warm decode pre-fills the pack, and both engines — the VM
-  // (which would have compiled them anyway) and the tree-walker (which
-  // only ever *reuses* warm chunks) — run the decoded executable
-  // bit-identically to a cold build. No app ships a Kokkos repo directly;
-  // the reference transpiler produces one from the CUDA sources.
+TEST(ObjCodec, FlushCompilesNothingAndTheInterpreterRunsNoChunk) {
+  // Link payloads carry no bytecode: flushing a recorded link leaves its
+  // executable's ChunkPack empty, a warm hit starts from an empty pack,
+  // the tree-walker never fills it, and the VM compiles into it lazily.
+  // A Kokkos implementation exercises lambda-body chunks; no app ships a
+  // Kokkos repo directly, so the reference transpiler produces one from
+  // the CUDA sources.
   const apps::AppSpec* app = apps::find_app("nanoXOR");
   ASSERT_NE(app, nullptr);
   xlate::TranspileLog xlog;
@@ -274,10 +249,11 @@ TEST(ObjCodec, WarmLinkDecodesLambdaChunksAndRunsBitIdentical) {
     links.attach(store, kVersion);
     cold = buildsim::build_repo(repo, "", &tus, std::nullopt, &links);
     ASSERT_TRUE(cold.ok);
-    // Force the lambda chunks into the payload even though no VM run
-    // compiled them yet: encode_link compiles on demand.
     ASSERT_GT(links.flush(), 0u);
     tus.flush();
+    // The recorded entry shares this pack: flush compiled nothing into it.
+    EXPECT_EQ(cold.exe->chunks->size(), 0u);
+    EXPECT_EQ(cold.exe->chunks->lambda_size(), 0u);
   }
 
   cache::Store store(dir);
@@ -289,19 +265,29 @@ TEST(ObjCodec, WarmLinkDecodesLambdaChunksAndRunsBitIdentical) {
                                          &links);
   ASSERT_TRUE(warm.ok);
   ASSERT_TRUE(warm.exe.has_value());
-  // The decode really did pre-fill lambda chunks (Kokkos apps launch
-  // lambdas by construction).
-  EXPECT_GT(warm.exe->chunks->lambda_size(), 0u);
+  EXPECT_EQ(links.persisted_hits(), 1u);
+  const minic::ChunkPack& pack = *warm.exe->chunks;
 
+  std::vector<std::string> refs;
   for (const auto& tc : app->tests) {
-    const auto ref = execsim::run_executable(*cold.exe, tc.args);
-    for (const auto engine :
-         {minic::EngineKind::Interp, minic::EngineKind::Vm}) {
-      const auto got = execsim::run_executable(*warm.exe, tc.args,
-                                               minic::RunLimits{}, engine);
-      EXPECT_EQ(minic::to_json(got).dump(), minic::to_json(ref).dump())
+    refs.push_back(minic::to_json(execsim::run_executable(*cold.exe, tc.args))
+                       .dump());
+  }
+  for (const auto engine : kEngines) {
+    for (std::size_t i = 0; i < app->tests.size(); ++i) {
+      const auto got = execsim::run_executable(
+          *warm.exe, app->tests[i].args, minic::RunLimits{}, engine);
+      EXPECT_EQ(minic::to_json(got).dump(), refs[i])
           << apps::model_key(apps::Model::Kokkos) << " engine "
           << minic::engine_key(engine);
+    }
+    if (engine == minic::EngineKind::Interp) {
+      EXPECT_EQ(pack.size(), 0u);
+      EXPECT_EQ(pack.lambda_size(), 0u);
+    } else {
+      // Kokkos apps launch lambdas by construction.
+      EXPECT_GT(pack.size(), 0u);
+      EXPECT_GT(pack.lambda_size(), 0u);
     }
   }
 

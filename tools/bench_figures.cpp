@@ -56,11 +56,11 @@ int usage(const char* argv0) {
       "                     measure the Build layers (TU / object /\n"
       "                     link caches) instead of score memoization\n"
       "  --no-object-layer  disable the warm-object store (serialized\n"
-      "                     TU objects + link cache): persisted TU\n"
-      "                     entries revalidate but successful TUs\n"
-      "                     recompile from source — the TU-warm\n"
-      "                     baseline the object-warm bench pass is\n"
-      "                     gated against\n"
+      "                     TU objects + link tables; no bytecode is\n"
+      "                     persisted): persisted TU entries\n"
+      "                     revalidate but successful TUs recompile\n"
+      "                     from source — the TU-warm baseline the\n"
+      "                     object-warm bench pass is gated against\n"
       "  --samples N        samples per cell (default: 25)\n"
       "  --seed S           base RNG seed (default: 1070)\n"
       "  --engine E         Execute-stage engine: interp (default) or vm\n"

@@ -49,14 +49,15 @@ int usage(const char* argv0) {
       "                      failed plans/TUs and recompile successful\n"
       "                      ones), journal-warm (every stream replayed,\n"
       "                      Build stage skipped), object-warm (only the\n"
-      "                      TU-object + link streams replayed — every\n"
-      "                      sample re-scores but zero sources are parsed\n"
-      "                      and zero programs linked); and uncached\n"
-      "                      under the bytecode-VM engine — and fail\n"
-      "                      unless shards and every reference run are\n"
-      "                      bit-identical. With --cache-dir, an eighth\n"
-      "                      store-warm reference replays the shared\n"
-      "                      directory the workers wrote\n"
+      "                      TU-object + link-table streams replayed —\n"
+      "                      every sample re-scores but zero sources are\n"
+      "                      parsed and zero programs linked; the VM\n"
+      "                      still compiles its chunks lazily); and\n"
+      "                      uncached under the bytecode-VM engine —\n"
+      "                      and fail unless shards and every reference\n"
+      "                      run are bit-identical. With --cache-dir, an\n"
+      "                      eighth store-warm reference replays the\n"
+      "                      shared directory the workers wrote\n"
       "  --cache-dir DIR     the shared journaled cache directory\n"
       "                      (cache::Store) this merge verifies against\n"
       "                      and publishes to; skipped when --verify fails\n"
