@@ -18,10 +18,6 @@ struct Compiler {
   int pending = 0;      // fuel charges not yet attached to an instruction
   int pending_line = 0;
   int depth = 0;        // compiled scope depth (PushScope minus PopScope)
-  // Compiling an OMP structured-region subchunk: a `return` must stay a
-  // signal (RetSig) so it unwinds through the region's cleanup
-  // (finish_target / leave_data_env) exactly like the interpreter.
-  bool region_mode = false;
 
   struct LoopCtx {
     int cont_label = -1;
@@ -109,9 +105,8 @@ struct Compiler {
   }
 
   /// Attach the enclosing compiled loop's break/continue targets to a
-  /// tree-fallback instruction so BreakSig/ContinueSig thrown from the
-  /// tree-walker land exactly where the interpreter's per-iteration
-  /// catch blocks would put them.
+  /// TreeStmt/OmpExec instruction, so a Flow::Break/Continue its statement
+  /// or region ends with lands where the interpreter's loop would take it.
   void set_loop_ctx(Instr& in) {
     if (loops.empty()) return;
     const LoopCtx& lc = loops.back();
@@ -129,7 +124,6 @@ struct Compiler {
     in.a = static_cast<unsigned short>(dst);
     in.line = e.line;
     in.node = &e;
-    set_loop_ctx(in);
     emit(std::move(in));
   }
 
@@ -763,15 +757,14 @@ struct Compiler {
           const int r = alloc_reg();
           compile_expr(*s.expr, r);
           Instr in;
-          in.op = region_mode ? Op::RetSig : Op::Ret;
+          in.op = Op::Ret;
           in.a = static_cast<unsigned short>(r);
-          in.flag = region_mode;  // RetSig: carries a value
           in.line = s.line;
           emit(std::move(in));
           rtop = save;
         } else {
           Instr in;
-          in.op = region_mode ? Op::RetSig : Op::RetVoid;
+          in.op = Op::RetVoid;
           in.line = s.line;
           emit(std::move(in));
         }
@@ -780,7 +773,10 @@ struct Compiler {
       case StmtKind::Break:
       case StmtKind::Continue: {
         if (loops.empty()) {
-          tree_stmt(s);  // stray break/continue: signal escapes, as before
+          // No loop in this chunk: the break/continue leaves an OpenMP
+          // region, and the chunk ends with its Flow (sema rejects one
+          // outside every loop).
+          tree_stmt(s);
           return;
         }
         charge(s.line);
@@ -857,7 +853,6 @@ struct Compiler {
   std::shared_ptr<const Chunk> compile_region(const Stmt& s) {
     auto sub = std::make_shared<Chunk>();
     Compiler c{prog, builtins, *sub};
-    c.region_mode = true;
     if (s.omp_body) c.compile_stmt(*s.omp_body);
     Instr end;
     end.op = Op::End;
@@ -881,7 +876,6 @@ std::unique_ptr<Chunk> compile_function(const FunctionDecl& fn,
                                         const LinkedProgram& prog,
                                         const BuiltinTable& builtins) {
   auto ch = std::make_unique<Chunk>();
-  ch->fn = &fn;
   Compiler c{prog, builtins, *ch};
   c.compile_stmt(*fn.body);
   {

@@ -66,20 +66,18 @@ enum class Op : unsigned char {
   Builtin,     // r[a] = builtin(node, r[b..b+c-1])  (flags: PtrOut refs)
   RefArg,      // r[a] = Ref to names[imm] if declared, else ip = imm2
   TreeEval,    // r[a] = machine.eval(node)   (fallback; node charges fuel)
-  TreeStmt,    // machine.exec(node); Break/Continue -> PopJump semantics
+  TreeStmt,    // flow = machine.exec(node); a Break/Continue jumps to imm /
+               // imm2 (popping b / c scopes) if set, else ends the chunk
+               // with it, as does a Return
   Lambda,      // r[a] = eval_lambda(node)    (closure capture, no body run)
   HostPar,     // if flag: stats.host_parallel_regions++ (body is inline)
   OmpData,     // target update / enter data / exit data (node = Stmt)
-  OmpExec,     // run subchunks[a] as the body of node's target/target-data
-               // region (enter/exit bookkeeping brackets it); Break/
-               // Continue escaping the region use PopJump semantics
-  Ret,         // throw ReturnSig{coerce(r[a], return_type)} — handled by
-               // the dispatch loop as a direct return instead
-  RetVoid,     // return coerced Value{}
-  RetSig,      // throw ReturnSig{r[a] if flag else void} — compiled OMP
-               // region bodies, where a return must unwind through the
-               // region's cleanup instead of ending the chunk
-  End,         // fell off the end: return uncoerced Value{}
+  OmpExec,     // flow = run subchunks[a] as the body of node's target /
+               // target-data region (enter/exit bookkeeping brackets it);
+               // the flow is routed as for TreeStmt
+  Ret,         // ret_value = r[a]; end the chunk with Flow::Return
+  RetVoid,     // ret_value = Value{}; end the chunk with Flow::Return
+  End,         // fell off the end: end the chunk with Flow::Next
 };
 
 struct Instr {
@@ -96,10 +94,6 @@ struct Instr {
 };
 
 struct Chunk {
-  // Set for a named function's chunk only: a lambda body's chunk returns
-  // uncoerced, and OMP-region subchunks are owned and reached positionally
-  // through their parent's `subchunks`.
-  const FunctionDecl* fn = nullptr;
   std::vector<Instr> code;
   std::vector<Value> consts;
   std::vector<std::string> names;
@@ -120,8 +114,8 @@ std::unique_ptr<Chunk> compile_function(const FunctionDecl& fn,
 /// Compile a lambda body to bytecode (same guarantees as
 /// compile_function). The chunk runs inside the frame call_closure sets
 /// up — captured names resolve through the machine's environment chain,
-/// and a top-level return ends the chunk (the closure's result is
-/// discarded, exactly like the interpreter's ReturnSig).
+/// and a return ends the chunk (call_closure discards the value, as the
+/// interpreter does).
 std::unique_ptr<Chunk> compile_lambda(const Stmt& body,
                                       const LinkedProgram& prog,
                                       const BuiltinTable& builtins);

@@ -904,27 +904,6 @@ Value Machine::eval_assign(const Expr& e) {
   return rhs;
 }
 
-void Machine::store_ident(const std::string& name, Value v, int line) {
-  Found f = find_var(name);
-  if (!f.slot) {
-    trap(DiagCategory::UndeclaredIdentifier,
-         "use of undeclared identifier '" + name + "'", line);
-  }
-  write_var(f, std::move(v));
-}
-
-void Machine::store_deref(const Value& target, Value v, int line) {
-  if (target.kind == Value::Kind::Ref && target.ref != nullptr) {
-    write_var(Found{target.ref, next_scope_id}, std::move(v));
-    return;
-  }
-  if (target.kind != Value::Kind::Ptr) {
-    trap(DiagCategory::RuntimeFault,
-         "indirection through a non-pointer value", line);
-  }
-  store_ref(target.ptr, std::move(v), line);
-}
-
 Value Machine::eval_cast(const Expr& e) {
   return cast_value(eval(*e.kids[0]), e.type, e.line);
 }
@@ -1095,23 +1074,17 @@ Value Machine::call_function(const FunctionDecl& fn, std::vector<Value> args,
     slot.v = coerce_to_type(std::move(args[i]), slot.type);
     declare(fn.params[i].name, std::move(slot));
   }
-  Value ret;
-  try {
-    exec(*fn.body);
-  } catch (ReturnSig& r) {
-    ret = coerce_to_type(std::move(r.v), fn.return_type);
-  } catch (...) {
-    // Pop this frame before the exception reaches the caller: enclosing
-    // Block handlers pop scopes from frames.back(), so leaving a dead
-    // frame on top would make them underflow *this* frame's scope stack.
-    frames.pop_back();
-    throw;
-  }
+  const Flow f = run_function_body(fn);
   frames.pop_back();
-  return ret;
+  if (f != Flow::Return) return Value{};
+  return coerce_to_type(std::move(ret_value), fn.return_type);
 }
 
-void Machine::run_lambda_body(const Stmt& body) { exec(body); }
+Flow Machine::run_function_body(const FunctionDecl& fn) {
+  return exec(*fn.body);
+}
+
+Flow Machine::run_lambda_body(const Stmt& body) { return exec(body); }
 
 Value Machine::launch_kernel(const FunctionDecl& fn, const Expr& e) {
   auto as_dim3 = [&](const Expr& cfg) -> Value::Dim3 {
@@ -1153,88 +1126,72 @@ Value Machine::launch_kernel(const FunctionDecl& fn, const Expr& e) {
 }
 
 // --------------------------------------------------------- statements --
-void Machine::exec(const Stmt& s) {
+Flow Machine::exec(const Stmt& s) {
   step(s.line);
   switch (s.kind) {
-    case StmtKind::Block:
+    case StmtKind::Block: {
       push_scope();
-      try {
-        for (const auto& child : s.body) exec(*child);
-      } catch (...) {
-        pop_scope();
-        throw;
+      Flow f = Flow::Next;
+      for (const auto& child : s.body) {
+        f = exec(*child);
+        if (f != Flow::Next) break;
       }
       pop_scope();
-      return;
+      return f;
+    }
     case StmtKind::ExprStmt:
       if (s.expr) eval(*s.expr);
-      return;
+      return Flow::Next;
     case StmtKind::Decl:
       for (const auto& v : s.decls) exec_decl(v);
-      return;
+      return Flow::Next;
     case StmtKind::If:
-      if (eval(*s.expr).truthy()) {
-        exec(*s.then_branch);
-      } else if (s.else_branch) {
-        exec(*s.else_branch);
-      }
-      return;
+      if (eval(*s.expr).truthy()) return exec(*s.then_branch);
+      return s.else_branch ? exec(*s.else_branch) : Flow::Next;
     case StmtKind::For:
-      exec_for(s);
-      return;
+      return exec_for(s);
     case StmtKind::While:
       while (eval(*s.expr).truthy()) {
-        try {
-          exec(*s.loop_body);
-        } catch (BreakSig&) {
-          break;
-        } catch (ContinueSig&) {
-        }
+        const Flow f = exec(*s.loop_body);
+        if (f == Flow::Break) break;
+        if (f == Flow::Return) return f;
       }
-      return;
+      return Flow::Next;
     case StmtKind::DoWhile:
       do {
-        try {
-          exec(*s.loop_body);
-        } catch (BreakSig&) {
-          break;
-        } catch (ContinueSig&) {
-        }
+        const Flow f = exec(*s.loop_body);
+        if (f == Flow::Break) break;
+        if (f == Flow::Return) return f;
       } while (eval(*s.expr).truthy());
-      return;
-    case StmtKind::Return: {
-      ReturnSig r;
-      if (s.expr) r.v = eval(*s.expr);
-      throw r;
-    }
+      return Flow::Next;
+    case StmtKind::Return:
+      ret_value = s.expr ? eval(*s.expr) : Value{};
+      return Flow::Return;
     case StmtKind::Break:
-      throw BreakSig{};
+      return Flow::Break;
     case StmtKind::Continue:
-      throw ContinueSig{};
+      return Flow::Continue;
     case StmtKind::Omp:
-      exec_omp(s);
-      return;
+      return exec_omp(s);
   }
+  return Flow::Next;
 }
 
-void Machine::exec_for(const Stmt& s) {
+Flow Machine::exec_for(const Stmt& s) {
   push_scope();
-  try {
-    if (s.for_init) exec(*s.for_init);
-    while (!s.expr || eval(*s.expr).truthy()) {
-      try {
-        exec(*s.loop_body);
-      } catch (BreakSig&) {
-        break;
-      } catch (ContinueSig&) {
-      }
-      if (s.for_inc) eval(*s.for_inc);
+  Flow out = Flow::Next;
+  if (s.for_init) exec(*s.for_init);
+  while (!s.expr || eval(*s.expr).truthy()) {
+    const Flow f = exec(*s.loop_body);
+    if (f == Flow::Break) break;
+    if (f == Flow::Return) {
+      out = f;
+      break;
     }
-  } catch (...) {
-    pop_scope();
-    throw;
+    if (s.for_inc) eval(*s.for_inc);
   }
   pop_scope();
+  return out;
 }
 
 void Machine::declare_array(const VarDecl& v, long long n) {
@@ -1378,43 +1335,36 @@ void Machine::declare_struct(const VarDecl& v, Value* init) {
 }
 
 // ------------------------------------------------------------ OpenMP --
-void Machine::exec_omp(const Stmt& s) {
+Flow Machine::exec_omp(const Stmt& s) {
   if (!s.omp) {
     // OpenMP disabled at build time: pragma was ignored.
-    if (s.omp_body) exec(*s.omp_body);
-    return;
+    return s.omp_body ? exec(*s.omp_body) : Flow::Next;
   }
   const OmpDirective& d = *s.omp;
   if (d.has(OmpConstruct::Barrier) || d.has(OmpConstruct::Declare) ||
       d.has(OmpConstruct::End)) {
-    return;
+    return Flow::Next;
   }
   if (d.has(OmpConstruct::TargetUpdate)) {
     exec_target_update(d, s.line);
-    return;
+    return Flow::Next;
   }
   if (d.has(OmpConstruct::TargetEnterData)) {
     enter_data_env(data_envs.front(), d, s.line, /*entering=*/true);
-    return;
+    return Flow::Next;
   }
   if (d.has(OmpConstruct::TargetExitData)) {
     exit_unstructured(d, s.line);
-    return;
+    return Flow::Next;
   }
-  if (d.has(OmpConstruct::TargetData)) {
-    exec_target_data(s, d);
-    return;
-  }
-  if (d.has(OmpConstruct::Target)) {
-    exec_target(s, d);
-    return;
-  }
+  if (d.has(OmpConstruct::TargetData)) return exec_target_data(s, d);
+  if (d.has(OmpConstruct::Target)) return exec_target(s, d);
   // Host constructs: parallel / for / simd / single / critical / atomic.
   if (d.has(OmpConstruct::Parallel) || d.has(OmpConstruct::For) ||
       d.has(OmpConstruct::Simd)) {
     result.stats.host_parallel_regions++;
   }
-  if (s.omp_body) exec(*s.omp_body);
+  return s.omp_body ? exec(*s.omp_body) : Flow::Next;
 }
 
 void Machine::enter_data_env(DataEnv& env_entry, const OmpDirective& d,
@@ -1542,48 +1492,40 @@ void Machine::exec_target_update(const OmpDirective& d, int line) {
   }
 }
 
-void Machine::run_omp_body(const Stmt& s, const Chunk* region) {
-  if (region != nullptr) {
-    run_subchunk(*region);
-    return;
-  }
-  if (s.omp_body) exec(*s.omp_body);
-}
-
-void Machine::run_subchunk(const Chunk& sub) {
+Flow Machine::run_omp_body(const Stmt& s, const Chunk* region) {
+  if (region == nullptr) return s.omp_body ? exec(*s.omp_body) : Flow::Next;
+  // A compiled region left early has not popped its block scopes.
   const std::size_t base = frames.back().scopes.size();
-  try {
-    execute(sub);
-  } catch (...) {
-    // Signals (Return/Break/Continue/trap) unwinding out of a compiled
-    // region leave its PushScope scopes behind; the interpreter's Block
-    // handlers pop theirs during unwind, so restore the same depth.
-    while (frames.back().scopes.size() > base) pop_scope();
-    throw;
-  }
+  const Flow f = execute(*region);
+  while (frames.back().scopes.size() > base) pop_scope();
+  return f;
 }
 
-void Machine::exec_target_data(const Stmt& s, const OmpDirective& d,
+// The catch-all handlers below are the only ones left in the machine: a
+// trap or exit() ends the run, but the region's exit bookkeeping still
+// runs on the way out, so RunStats count its copy-back (d2h_copies).
+Flow Machine::exec_target_data(const Stmt& s, const OmpDirective& d,
                                const Chunk* region) {
   DataEnv env_entry;
   enter_data_env(env_entry, d, s.line, true);
   data_envs.push_back(std::move(env_entry));
+  Flow f = Flow::Next;
   try {
-    run_omp_body(s, region);
+    f = run_omp_body(s, region);
   } catch (...) {
     leave_data_env(s.line);
     throw;
   }
   leave_data_env(s.line);
+  return f;
 }
 
-void Machine::exec_target(const Stmt& s, const OmpDirective& d,
+Flow Machine::exec_target(const Stmt& s, const OmpDirective& d,
                           const Chunk* region) {
   if (!prog.caps.offload) {
     // Host fallback: no device data environment, loop runs on the host.
     result.stats.host_parallel_regions++;
-    run_omp_body(s, region);
-    return;
+    return run_omp_body(s, region);
   }
   result.stats.target_regions++;
 
@@ -1611,13 +1553,15 @@ void Machine::exec_target(const Stmt& s, const OmpDirective& d,
   exec_envs.push_back(dev);
   result.stats.device_kernel_launches++;
 
+  Flow f = Flow::Next;
   try {
-    run_omp_body(s, region);
+    f = run_omp_body(s, region);
   } catch (...) {
     finish_target(s.line);
     throw;
   }
   finish_target(s.line);
+  return f;
 }
 
 void Machine::finish_target(int line) {
@@ -1696,8 +1640,6 @@ RunResult Machine::run(const std::vector<std::string>& args) {
     result.exit_code = 139;
     result.diags.add(trap_sig.d);
     result.stderr_text += trap_sig.d.render() + "\n";
-  } catch (ReturnSig&) {
-    result.ok = false;
   }
   return std::move(result);
 }
@@ -1778,31 +1720,16 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
   ExecEnv ee;
   ee.device = on_device;
   exec_envs.push_back(ee);
-  const std::size_t base_scopes = frames.back().scopes.size();
-  try {
-    run_lambda_body(*c.body);
-  } catch (ReturnSig&) {
-    // lambdas in our dialect return void
-  } catch (...) {
-    exec_envs.pop_back();
-    // Copy back by-ref params even on unwinding? No: propagate as-is.
-    frames.pop_back();
-    throw;
-  }
+  run_lambda_body(*c.body);  // lambdas in our dialect return void
   exec_envs.pop_back();
-  // A compiled return exits the chunk without running its PopScopes (the
-  // interpreter's ReturnSig unwind pops them); either way the copy-back
-  // below must read the param scope, so restore the entry depth.
-  while (frames.back().scopes.size() > base_scopes) pop_scope();
-  // Copy back by-ref params.
+  // Copy back by-ref params from the param scope, scopes[1]: a compiled
+  // return leaves the body's block scopes above it.
+  const Scope& param_scope = frames.back().scopes[1];
   ref_i = 0;
   for (std::size_t i = 0; i < c.params.size(); ++i) {
     if (!c.params[i].by_ref) continue;
     if (ref_i < ref_slots.size() && ref_slots[ref_i]) {
-      const Found f{
-          &frames.back().scopes.back().vars.at(c.params[i].name),
-          frames.back().scopes.back().id};
-      ref_slots[ref_i]->v = f.slot->v;
+      ref_slots[ref_i]->v = param_scope.vars.at(c.params[i].name).v;
     }
     ++ref_i;
   }

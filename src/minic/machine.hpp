@@ -3,7 +3,7 @@
 // the OpenMP device data environment, RNG state, and the tree-walking
 // evaluator. Both execution engines run on this one class — the legacy
 // `Interpreter` drives it as-is, while the bytecode `Vm` subclasses it and
-// overrides `call_function` and `run_lambda_body` to dispatch compiled
+// overrides `run_function_body` and `run_lambda_body` to dispatch compiled
 // chunks, falling back to the tree-walker (`eval`/`exec`) for constructs
 // bytecode does not cover.
 // Keeping a single machine implementation is what makes the engines
@@ -28,13 +28,15 @@
 
 namespace pareval::minic {
 
-// Control-flow signals thrown by the tree-walker (and rethrown or
-// intercepted by the VM's fallback ops).
-struct ReturnSig {
-  Value v;
-};
-struct BreakSig {};
-struct ContinueSig {};
+/// How a statement (or a compiled chunk) ended. Both engines return it
+/// instead of unwinding: a loop consumes Break/Continue, a function call
+/// consumes Return and reads the value from Machine::ret_value, and a
+/// lambda call discards it. Sema rejects a break/continue outside a loop,
+/// so only Return or Next ever reaches a function or lambda boundary.
+enum class Flow : unsigned char { Next, Break, Continue, Return };
+
+// The two ways a run ends early, thrown from wherever they happen and
+// caught only by Machine::run (the target-region handlers rethrow).
 struct ExitSig {
   int code;
 };
@@ -215,9 +217,6 @@ class Machine : public InterpCtx {
   Value load_deref(const Value& p, int line);
   Value incdec_apply(const LValue& lv, long long delta, bool postfix,
                      int line);
-  /// Assignment sinks for resolved targets: named variable / `*p`.
-  void store_ident(const std::string& name, Value v, int line);
-  void store_deref(const Value& target, Value v, int line);
 
   // -------------------------------------------------------------- calls --
   MemRef view_ref(const Value& view_val, const Expr& call);
@@ -226,22 +225,29 @@ class Machine : public InterpCtx {
   /// direct lambda-variable call. Returns false when `e.text` is not a
   /// view/lambda variable (the function/builtin paths apply).
   bool try_call_var(const Expr& e, Value* out);
-  /// Invoke a user function. Virtual: the VM overrides this to dispatch
-  /// the function's compiled chunk, which transparently covers every
-  /// caller in the machine (kernel launches, builtins, tree fallbacks).
-  virtual Value call_function(const FunctionDecl& fn, std::vector<Value> args,
-                              int line);
+  /// Invoke a user function: push its frame, run the body, and coerce a
+  /// returned value to the return type (falling off the end yields an
+  /// uncoerced unset Value).
+  Value call_function(const FunctionDecl& fn, std::vector<Value> args,
+                      int line);
+  /// Run a function's body in the frame call_function set up. Virtual: the
+  /// tree-walker execs it, the VM runs the function's compiled chunk, which
+  /// covers every caller in the machine (kernel launches, builtins, tree
+  /// fallbacks).
+  virtual Flow run_function_body(const FunctionDecl& fn);
   /// Run a closure's body inside the frame call_closure set up. Virtual
-  /// for the same reason: the tree-walker execs it, the VM runs the body's
-  /// compiled chunk.
-  virtual void run_lambda_body(const Stmt& body);
+  /// for the same reason.
+  virtual Flow run_lambda_body(const Stmt& body);
   Value launch_kernel(const FunctionDecl& fn, const Expr& e);
   /// eval_cast after operand evaluation (pointer retype, numeric casts).
   Value cast_value(Value v, const Type& t, int line);
 
   // --------------------------------------------------------- statements --
-  void exec(const Stmt& s);
-  void exec_for(const Stmt& s);
+  /// The value of the last `return`, read by whoever consumes its
+  /// Flow::Return (call_function; call_closure discards it).
+  Value ret_value;
+  Flow exec(const Stmt& s);
+  Flow exec_for(const Stmt& s);
   void exec_decl(const VarDecl& v);
   /// Allocate and declare `v` as an array of `n` elements (the DeclArr
   /// op and exec_decl's no-brace-init array path share this).
@@ -256,12 +262,10 @@ class Machine : public InterpCtx {
   /// Run one compiled chunk in the current frame (the direct-threaded
   /// dispatch loop, defined in vm.cpp). Only the Vm reaches it. Every
   /// effect goes through the shared helpers above, so a chunk is
-  /// bit-identical to tree-walking the same nodes.
-  Value execute(const Chunk& ch);
-  /// Run an OMP-region subchunk: on abnormal exit (signal/trap) the
-  /// frame's scope stack is restored to its entry depth — the compiled
-  /// analogue of the Block unwind handlers popping their own scopes.
-  void run_subchunk(const Chunk& sub);
+  /// bit-identical to tree-walking the same nodes. A chunk that ends on a
+  /// return, or on a break/continue it has no loop for, leaves its own
+  /// block scopes on the frame; its caller drops them.
+  Flow execute(const Chunk& ch);
   /// Pooled register files + lvalue stacks for execute(): kernel-thread
   /// calls run tiny chunks millions of times, so a heap allocation per
   /// call would dominate the dispatch loop. Nested execute() calls (via
@@ -273,7 +277,7 @@ class Machine : public InterpCtx {
   std::vector<std::unique_ptr<VmScratch>> vm_scratch_pool;
 
   // ------------------------------------------------------------ OpenMP --
-  void exec_omp(const Stmt& s);
+  Flow exec_omp(const Stmt& s);
   void enter_data_env(DataEnv& env_entry, const OmpDirective& d, int line,
                       bool entering);
   void leave_data_env(int line);
@@ -283,11 +287,11 @@ class Machine : public InterpCtx {
   /// compiled subchunk (from an OmpExec instruction) or, when null, the
   /// statement's tree-walked omp_body. The bracketing bookkeeping (data
   /// environments, scalar shadows, device env, stats) is identical.
-  void exec_target(const Stmt& s, const OmpDirective& d,
+  Flow exec_target(const Stmt& s, const OmpDirective& d,
                    const Chunk* region = nullptr);
-  void exec_target_data(const Stmt& s, const OmpDirective& d,
+  Flow exec_target_data(const Stmt& s, const OmpDirective& d,
                         const Chunk* region = nullptr);
-  void run_omp_body(const Stmt& s, const Chunk* region);
+  Flow run_omp_body(const Stmt& s, const Chunk* region);
   void finish_target(int line);
   void raw_copy(int dst_block, long long dst_off, int src_block,
                 long long src_off, long long count, int line);

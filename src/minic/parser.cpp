@@ -102,12 +102,22 @@ class Parser {
     tu_->diags.error(DiagCategory::CodeSyntax, msg, path_, peek().line);
     throw ParseError{};
   }
-  /// Holds one level of the nesting budget for its lifetime. Taken where
-  /// the descent enters a statement, an expression, an initializer list,
-  /// or a prefix operand, so each source nesting level costs one unit.
+  /// Holds units of the nesting budget for its lifetime. One is taken
+  /// where the descent enters a statement, an expression, an initializer
+  /// list, or a prefix operand, so each source nesting level costs one
+  /// unit. A loop that builds a left-leaning chain (binary operators,
+  /// postfix suffixes) starts with none and holds one more per link:
+  /// each link deepens the tree without recursing.
   class Nest {
    public:
-    explicit Nest(Parser& p) : p_(p) {
+    explicit Nest(Parser& p, int units = 1) : p_(p) {
+      for (int i = 0; i < units; ++i) hold();
+    }
+    ~Nest() { p_.depth_ -= held_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+    void hold() {
       if (p_.depth_ >= kMaxNesting) {
         p_.tu_->diags.error(DiagCategory::CodeSyntax,
                             "nesting exceeds the maximum depth of " +
@@ -116,13 +126,12 @@ class Parser {
         throw NestingTooDeep{};
       }
       ++p_.depth_;
+      ++held_;
     }
-    ~Nest() { --p_.depth_; }
-    Nest(const Nest&) = delete;
-    Nest& operator=(const Nest&) = delete;
 
    private:
     Parser& p_;
+    int held_ = 0;
   };
 
   void recover_top_level() {
@@ -735,10 +744,12 @@ class Parser {
   ExprPtr parse_binary(std::size_t level) {
     if (level >= levels().size()) return parse_unary();
     ExprPtr lhs = parse_binary(level + 1);
+    Nest chain(*this, 0);
     while (true) {
       bool matched = false;
       for (std::string_view op : levels()[level].ops) {
         if (check_punct(op)) {
+          chain.hold();
           const Token t = take();
           auto e = std::make_unique<Expr>();
           e->kind = ExprKind::Binary;
@@ -814,6 +825,7 @@ class Parser {
 
   ExprPtr parse_postfix() {
     ExprPtr e = parse_primary();
+    Nest chain(*this, 0);
     while (true) {
       if (check_punct("(")) {
         e = finish_call(std::move(e), nullptr, nullptr);
@@ -855,6 +867,7 @@ class Parser {
       } else {
         return e;
       }
+      chain.hold();
     }
   }
 

@@ -175,13 +175,13 @@ class Sema {
         if (s.for_init) check_stmt(*s.for_init);
         if (s.expr) type_of(*s.expr);
         if (s.for_inc) type_of(*s.for_inc);
-        check_stmt(*s.loop_body);
+        check_loop_body(*s.loop_body);
         pop_scope();
         return;
       case StmtKind::While:
       case StmtKind::DoWhile:
         type_of(*s.expr);
-        check_stmt(*s.loop_body);
+        check_loop_body(*s.loop_body);
         return;
       case StmtKind::Return:
         if (s.expr) {
@@ -194,11 +194,27 @@ class Sema {
         return;
       case StmtKind::Break:
       case StmtKind::Continue:
+        // An OpenMP region inside a loop counts as inside it; a function
+        // or lambda body starts outside every loop. This is what keeps a
+        // break/continue Flow from ever crossing a call boundary.
+        if (loop_depth_ == 0) {
+          error(DiagCategory::CodeSyntax,
+                s.kind == StmtKind::Break
+                    ? "break statement not within loop or switch"
+                    : "continue statement not within a loop",
+                s.line);
+        }
         return;
       case StmtKind::Omp:
         check_omp(s);
         return;
     }
+  }
+
+  void check_loop_body(Stmt& body) {
+    ++loop_depth_;
+    check_stmt(body);
+    --loop_depth_;
   }
 
   void check_decl(VarDecl& v) {
@@ -338,7 +354,10 @@ class Sema {
       case ExprKind::LambdaExpr: {
         push_scope();
         for (const auto& p : e.lambda_params) declare(p.name, p.type);
+        const int outer_loops = loop_depth_;
+        loop_depth_ = 0;
         check_stmt(*e.lambda_body);
+        loop_depth_ = outer_loops;
         pop_scope();
         return Type::make(BaseType::Lambda);
       }
@@ -680,6 +699,7 @@ class Sema {
   std::set<std::string> called_;
   const FunctionDecl* current_fn_ = nullptr;
   bool in_device_code_ = false;
+  int loop_depth_ = 0;  // loops enclosing the statement being checked
 };
 
 }  // namespace

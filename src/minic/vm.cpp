@@ -21,60 +21,23 @@ struct Vm::Impl final : Machine {
   // outlive the run.
   std::shared_ptr<ChunkPack> chunks;
 
-  /// Mirrors Machine::call_function exactly, but runs the function's
-  /// compiled chunk. Because every call site in the machine (kernel
-  /// launches, builtins, tree fallbacks) goes through this virtual,
-  /// compiling here covers them all.
-  Value call_function(const FunctionDecl& fn, std::vector<Value> args,
-                      int line) override {
-    if (frames.size() > 200) {
-      trap(DiagCategory::RuntimeFault,
-           "stack overflow (call depth exceeded) in '" + fn.name + "'",
-           line);
-    }
-    if (args.size() != fn.params.size()) {
-      trap(DiagCategory::RuntimeFault,
-           "call to '" + fn.name + "' with wrong number of arguments", line);
-    }
-    const Chunk& ch = chunks->get_or_compile(fn, prog, builtins);
-    frames.emplace_back();
-    frames.back().scopes.push_back(Scope{next_scope_id++, {}});
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      VarSlot slot;
-      slot.type = fn.params[i].type;
-      slot.v = coerce_to_type(std::move(args[i]), slot.type);
-      declare(fn.params[i].name, std::move(slot));
-    }
-    Value ret;
-    try {
-      ret = execute(ch);
-    } catch (ReturnSig& r) {
-      // A Return inside a tree-walked region (OpenMP body, lambda-free
-      // closure) surfaces as the signal; compiled returns come back as
-      // the plain (already coerced) value.
-      ret = coerce_to_type(std::move(r.v), fn.return_type);
-    } catch (...) {
-      // Mirror Machine::call_function: pop the frame before propagating
-      // so enclosing Block handlers pop scopes from their own frame.
-      frames.pop_back();
-      throw;
-    }
-    frames.pop_back();
-    return ret;
+  /// Run the function's compiled chunk. Every call site in the machine
+  /// (kernel launches, builtins, tree fallbacks) goes through
+  /// call_function and so through here; compiling here covers them all.
+  Flow run_function_body(const FunctionDecl& fn) override {
+    return execute(chunks->get_or_compile(fn, prog, builtins));
   }
 
-  /// A top-level compiled return ends the lambda chunk; call_closure
-  /// restores the scope depth the interpreter's ReturnSig unwind would.
-  void run_lambda_body(const Stmt& body) override {
-    execute(chunks->get_or_compile_lambda(body, prog, builtins));
+  Flow run_lambda_body(const Stmt& body) override {
+    return execute(chunks->get_or_compile_lambda(body, prog, builtins));
   }
 };
 
 // The dispatch loop lives on Machine (not Vm::Impl) because the shared
 // OpenMP region bookkeeping (exec_target / exec_target_data) runs a
-// compiled region body through run_subchunk, which calls back into it.
+// compiled region body through run_omp_body, which calls back into it.
 // Only the Vm ever reaches it: the Interpreter has no chunks.
-Value Machine::execute(const Chunk& ch) {
+Flow Machine::execute(const Chunk& ch) {
   std::unique_ptr<VmScratch> scratch;
   if (!vm_scratch_pool.empty()) {
     scratch = std::move(vm_scratch_pool.back());
@@ -100,6 +63,7 @@ Value Machine::execute(const Chunk& ch) {
   std::vector<LValue>& lvs = scratch->lvs;
   const Instr* const code = ch.code.data();
   std::size_t ip = 0;
+  Flow flow = Flow::Next;  // how a TreeStmt/OmpExec statement ended
   // Both return temporaries, which die within the statement using them.
   auto ref_to = [](VarSlot* slot) {
     Value v;
@@ -133,7 +97,7 @@ Value Machine::execute(const Chunk& ch) {
       &&L_DeclArr,   &&L_DeclStruct, &&L_CallGuard, &&L_CallFn,
       &&L_Builtin,   &&L_RefArg,    &&L_TreeEval, &&L_TreeStmt,
       &&L_Lambda,    &&L_HostPar,   &&L_OmpData,  &&L_OmpExec,
-      &&L_Ret,       &&L_RetVoid,   &&L_RetSig,   &&L_End,
+      &&L_Ret,       &&L_RetVoid,   &&L_End,
   };
 #define VM_CASE(name) L_##name
 #define VM_DISPATCH()                                              \
@@ -461,39 +425,14 @@ Value Machine::execute(const Chunk& ch) {
       VM_CASE(TreeEval) : {
         const Instr& I = code[ip];
         ++tree_fallbacks;
-        int jump_to = -1;
-        try {
-          regs[I.a] = eval(*static_cast<const Expr*>(I.node));
-        } catch (BreakSig&) {
-          if (I.imm < 0) throw;
-          for (unsigned short i = 0; i < I.b; ++i) pop_scope();
-          jump_to = I.imm;
-        } catch (ContinueSig&) {
-          if (I.imm2 < 0) throw;
-          for (unsigned short i = 0; i < I.c; ++i) pop_scope();
-          jump_to = I.imm2;
-        }
-        if (jump_to >= 0) VM_JUMP(jump_to);
+        regs[I.a] = eval(*static_cast<const Expr*>(I.node));
         VM_NEXT();
       }
 
       VM_CASE(TreeStmt) : {
-        const Instr& I = code[ip];
         ++tree_fallbacks;
-        int jump_to = -1;
-        try {
-          exec(*static_cast<const Stmt*>(I.node));
-        } catch (BreakSig&) {
-          if (I.imm < 0) throw;
-          for (unsigned short i = 0; i < I.b; ++i) pop_scope();
-          jump_to = I.imm;
-        } catch (ContinueSig&) {
-          if (I.imm2 < 0) throw;
-          for (unsigned short i = 0; i < I.c; ++i) pop_scope();
-          jump_to = I.imm2;
-        }
-        if (jump_to >= 0) VM_JUMP(jump_to);
-        VM_NEXT();
+        flow = exec(*static_cast<const Stmt*>(code[ip].node));
+        goto route_flow;
       }
 
       VM_CASE(Lambda) : {
@@ -526,50 +465,42 @@ Value Machine::execute(const Chunk& ch) {
         const Instr& I = code[ip];
         const Stmt& s = *static_cast<const Stmt*>(I.node);
         const Chunk* region = ch.subchunks[I.a].get();
-        int jump_to = -1;
-        try {
-          if (s.omp->has(OmpConstruct::TargetData)) {
-            exec_target_data(s, *s.omp, region);
-          } else {
-            exec_target(s, *s.omp, region);
-          }
-        } catch (BreakSig&) {
-          if (I.imm < 0) throw;
+        flow = s.omp->has(OmpConstruct::TargetData)
+                   ? exec_target_data(s, *s.omp, region)
+                   : exec_target(s, *s.omp, region);
+        goto route_flow;
+      }
+
+      // TreeStmt / OmpExec: a break or continue out of the walked
+      // statement or the region lands on the enclosing compiled loop's
+      // targets (imm / imm2, popping b / c scopes); a return, or a
+      // break/continue with no compiled loop around it, ends this chunk
+      // with that flow.
+      route_flow : {
+        const Instr& I = code[ip];
+        if (flow == Flow::Next) VM_NEXT();
+        if (flow == Flow::Break && I.imm >= 0) {
           for (unsigned short i = 0; i < I.b; ++i) pop_scope();
-          jump_to = I.imm;
-        } catch (ContinueSig&) {
-          if (I.imm2 < 0) throw;
-          for (unsigned short i = 0; i < I.c; ++i) pop_scope();
-          jump_to = I.imm2;
+          VM_JUMP(I.imm);
         }
-        if (jump_to >= 0) VM_JUMP(jump_to);
-        VM_NEXT();
+        if (flow == Flow::Continue && I.imm2 >= 0) {
+          for (unsigned short i = 0; i < I.c; ++i) pop_scope();
+          VM_JUMP(I.imm2);
+        }
+        return flow;
       }
 
       VM_CASE(Ret) : {
-        const Instr& I = code[ip];
-        // Lambda chunks return uncoerced: the interpreter's ReturnSig
-        // carries the raw value and call_closure discards it anyway.
-        if (ch.fn == nullptr) return std::move(regs[I.a]);
-        return coerce_to_type(std::move(regs[I.a]), ch.fn->return_type);
+        ret_value = std::move(regs[code[ip].a]);
+        return Flow::Return;
       }
 
       VM_CASE(RetVoid) : {
-        if (ch.fn == nullptr) return Value{};
-        return coerce_to_type(Value{}, ch.fn->return_type);
+        ret_value = Value{};
+        return Flow::Return;
       }
 
-      VM_CASE(RetSig) : {
-        const Instr& I = code[ip];
-        // Returns inside a compiled OMP region must unwind through the
-        // region's cleanup (finish_target / leave_data_env), exactly like
-        // the interpreter's signal.
-        ReturnSig sig;
-        if (I.flag) sig.v = std::move(regs[I.a]);
-        throw sig;
-      }
-
-      VM_CASE(End) : { return Value{}; }
+      VM_CASE(End) : { return Flow::Next; }
 
 #ifndef PAREVAL_VM_CGOTO
     }

@@ -12,9 +12,10 @@
 // array/struct declarations through the shared declare helpers, so the
 // constructs still without a bytecode lowering are: initializer-list
 // expressions, brace-initialized array/struct declarations, View/dim3
-// constructor declarations, kernel launches, and stray break/continue.
-// Each falls back to the machine's tree-walker per-instruction, counted
-// by tree_fallbacks().
+// constructor declarations, kernel launches, and a break/continue that
+// leaves an OpenMP region. Each falls back to the machine's tree-walker
+// per-instruction, counted by tree_fallbacks(). A chunk ends with the same
+// control-flow value the walker's statements return (minic::Flow).
 
 #include <memory>
 #include <string>

@@ -285,10 +285,16 @@ std::string repeat(std::string_view s, int n) {
 }
 
 /// main() setting x to 1 through `depth` levels of one nested form, then
-/// printing it.
+/// printing it. The two flat chains build the same depth in a loop: `sum`
+/// adds `depth` ones (x ends at `depth`), `subscripts` indexes `depth`
+/// times (well-typed only at depth 1).
 std::string nested_program(std::string_view form, int depth) {
   std::string body;
-  if (form == "parens") {
+  if (form == "sum") {
+    body = "x = 1" + repeat(" + 1", depth - 1) + ";";
+  } else if (form == "subscripts") {
+    body = "int a[1]; a[0] = 1; x = a" + repeat("[0]", depth) + ";";
+  } else if (form == "parens") {
     body = "x = " + repeat("(", depth) + "1" + repeat(")", depth) + ";";
   } else if (form == "minus") {
     body = "x = " + repeat("- ", 2 * (depth / 2)) + "1;";
@@ -308,7 +314,8 @@ TEST(Sema, DeepNestingIsACleanSyntaxError) {
   // diagnostic instead of overflowing the stack in the parser or in any
   // later recursive pass.
   const std::pair<const char*, int> deep[] = {
-      {"parens", 5000}, {"minus", 20000}, {"braces", 20000}, {"if", 20000}};
+      {"parens", 5000}, {"minus", 20000}, {"braces", 20000},
+      {"if", 20000},    {"sum", 20000},   {"subscripts", 20000}};
   for (const auto& [form, depth] : deep) {
     const Executable exe =
         compile_one(nested_program(form, depth), Capabilities{});
@@ -328,6 +335,69 @@ TEST(Sema, NestingWithinTheBudgetCompilesAndRuns) {
     EXPECT_TRUE(r.ok) << form;
     EXPECT_EQ(r.stdout_text, "1\n") << form;
   }
+  const RunResult sum = run_one(nested_program("sum", 200), Capabilities{});
+  EXPECT_TRUE(sum.ok);
+  EXPECT_EQ(sum.stdout_text, "200\n");
+}
+
+TEST(Sema, StrayBreakOrContinueIsACompileError) {
+  // Loop depth restarts at every function and lambda body, so neither a
+  // loop around the call site nor one around the lambda expression lets a
+  // break/continue through: each program gets exactly one CodeSyntax error.
+  const std::pair<const char*, Capabilities> stray[] = {
+      {"int main() { break; }", Capabilities{}},
+      {R"(
+int f() { continue; return 1; }
+int main() {
+  int s = 0;
+  for (int i = 0; i < 3; i++) s += f();
+  return s;
+}
+)",
+       Capabilities{}},
+      {R"(
+#include <Kokkos_Core.hpp>
+int main() {
+  Kokkos::initialize();
+  for (int r = 0; r < 2; r++) {
+    Kokkos::parallel_for(4, KOKKOS_LAMBDA(int i) {
+      if (i == 2) break;
+    });
+  }
+  Kokkos::finalize();
+  return 0;
+}
+)",
+       kokkos_caps()},
+  };
+  for (const auto& [src, caps] : stray) {
+    const Executable exe = compile_one(src, caps);
+    EXPECT_FALSE(exe.ok()) << src;
+    std::size_t syntax = 0;
+    for (const auto& d : exe.diags.all()) {
+      if (d.category == DiagCategory::CodeSyntax) ++syntax;
+    }
+    EXPECT_EQ(syntax, 1u) << src << exe.diags.render();
+  }
+  // Inside a loop, also through an OpenMP region, both still compile.
+  const RunResult r = run_one(R"(
+#include <stdio.h>
+int main() {
+  int s = 0;
+  for (int i = 0; i < 9; i++) {
+    #pragma omp parallel
+    {
+      if (i == 1) continue;
+      if (i == 4) break;
+    }
+    s += i;
+  }
+  printf("%d\n", s);
+  return 0;
+}
+)",
+                              omp_caps());
+  EXPECT_EQ(r.stdout_text, "5\n");
 }
 
 TEST(Sema, MissingQuotedHeader) {

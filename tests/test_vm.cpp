@@ -454,6 +454,239 @@ int main() {
   EXPECT_EQ(r.stats.steps, limits.max_steps + 1);
 }
 
+// ------------------------------------------------ control-flow pins ----
+
+namespace {
+
+/// What one pinned run must print, exit with and count.
+struct Pinned {
+  std::string stdout_text;
+  int exit_code = 0;
+  pareval::minic::RunStats stats;
+};
+
+/// run_both, then check the agreed result against values recorded for
+/// this program: agreement alone would pass if both engines drifted.
+void expect_pinned(const std::string& src, Capabilities caps,
+                   const Pinned& want) {
+  const RunResult r = run_both(src, caps);
+  EXPECT_EQ(r.stdout_text, want.stdout_text) << src;
+  EXPECT_EQ(r.exit_code, want.exit_code) << src;
+  EXPECT_EQ(r.stats.steps, want.stats.steps) << src;
+  EXPECT_EQ(r.stats.device_kernel_launches,
+            want.stats.device_kernel_launches) << src;
+  EXPECT_EQ(r.stats.host_parallel_regions, want.stats.host_parallel_regions)
+      << src;
+  EXPECT_EQ(r.stats.target_regions, want.stats.target_regions) << src;
+  EXPECT_EQ(r.stats.h2d_copies, want.stats.h2d_copies) << src;
+  EXPECT_EQ(r.stats.d2h_copies, want.stats.d2h_copies) << src;
+  EXPECT_EQ(r.stats.read_uninitialized, want.stats.read_uninitialized)
+      << src;
+}
+
+}  // namespace
+
+// A return, break or continue leaves nested blocks, loops, OpenMP regions
+// and lambda bodies; a trap or exit() leaves a data region. Each run's
+// output, exit code and RunStats are pinned, so the scope, frame and
+// data-environment bookkeeping on every such exit stays as it is.
+TEST(VmFlow, ReturnFromNestedLoopsAndBlocksInACallee) {
+  expect_pinned(R"(
+#include <stdio.h>
+int find(int target) {
+  for (int i = 0; i < 10; i++) {
+    int j = 0;
+    while (j < 10) {
+      {
+        int k = i * 10 + j;
+        if (k == target) { return k * 2; }
+      }
+      j++;
+    }
+  }
+  return -1;
+}
+double half_of_first_odd(int from) {
+  int i = from;
+  do {
+    if (i % 2 == 1) { int h = i; return h / 2; }
+    i++;
+  } while (i < 100);
+  return 0.5;
+}
+int main() {
+  int total = 0;
+  for (int t = 0; t < 5; t++) total += find(t * 17);
+  printf("%d %d %.1f\n", total, find(1000), half_of_first_odd(8));
+  return 0;
+}
+)",
+                Capabilities{}, {"340 -1 4.0\n", 0, {.steps = 5435}});
+}
+
+TEST(VmFlow, ReturnFromATargetDataRegionCopiesBack) {
+  expect_pinned(R"(
+#include <stdio.h>
+#include <stdlib.h>
+#include <omp.h>
+double fill(double* v, int n) {
+  #pragma omp target data map(tofrom: v[0:n])
+  {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < n; i++) v[i] = i * 1.5;
+    for (int k = 0; k < 3; k++) {
+      if (k == 1) { return n * 2.0; }
+    }
+  }
+  return -1.0;
+}
+int main() {
+  int n = 8;
+  double* v = (double*)malloc(n * sizeof(double));
+  for (int i = 0; i < n; i++) v[i] = 0.0;
+  double r = fill(v, n);
+  printf("%.1f %.1f\n", r, v[3]);
+  free(v);
+  return 0;
+}
+)",
+                omp_caps(), {"16.0 4.5\n", 0,
+                             {.steps = 260,
+                              .device_kernel_launches = 1,
+                              .target_regions = 1,
+                              .h2d_copies = 1,
+                              .d2h_copies = 1}});
+}
+
+TEST(VmFlow, BreakAndContinueLeaveATargetRegionInALoop) {
+  expect_pinned(R"(
+#include <stdio.h>
+#include <stdlib.h>
+#include <omp.h>
+int main() {
+  int n = 8;
+  double* v = (double*)malloc(n * sizeof(double));
+  for (int i = 0; i < n; i++) v[i] = 0.0;
+  int rounds = 0;
+  for (int r = 0; r < n; r++) {
+    #pragma omp target map(tofrom: v[0:n])
+    {
+      if (r == 1) continue;
+      v[r] = r * 2.0;
+      if (r == 4) { int stop = 1; if (stop) break; }
+    }
+    rounds++;
+  }
+  int w = 0;
+  while (w < 5) {
+    w++;
+    #pragma omp target data map(tofrom: v[0:n])
+    {
+      if (w == 2) continue;
+      if (w == 4) break;
+    }
+    rounds += 10;
+  }
+  printf("%d %d %.1f %.1f %.1f\n", rounds, w, v[1], v[4], v[5]);
+  free(v);
+  return 0;
+}
+)",
+                omp_caps(), {"23 4 0.0 8.0 0.0\n", 0,
+                             {.steps = 329,
+                              .device_kernel_launches = 5,
+                              .target_regions = 5,
+                              .h2d_copies = 9,
+                              .d2h_copies = 9}});
+}
+
+TEST(VmFlow, ReturnInsideAKokkosLambdaBody) {
+  Capabilities caps;
+  caps.kokkos = true;
+  expect_pinned(R"(
+#include <Kokkos_Core.hpp>
+#include <stdio.h>
+int main() {
+  Kokkos::initialize();
+  {
+    int n = 10;
+    Kokkos::View<double*> a("a", n);
+    Kokkos::parallel_for("fill", n, KOKKOS_LAMBDA(int i) {
+      if (i % 2 == 1) return;
+      for (int k = 0; k < 3; k++) {
+        { if (k == 2) { a(i) = i * 1.0 + k; return; } }
+      }
+    });
+    double total = 0.0;
+    Kokkos::parallel_reduce(n, KOKKOS_LAMBDA(int i, double& sum) {
+      { if (i > 5) { return; } }
+      sum += a(i) + 1.0;
+    }, total);
+    printf("%.1f\n", total);
+  }
+  Kokkos::finalize();
+  return 0;
+}
+)",
+                caps, {"18.0\n", 0,
+                       {.steps = 438, .device_kernel_launches = 2}});
+}
+
+TEST(VmFlow, TrapInsideATargetDataRegionStillCopiesBack) {
+  expect_pinned(R"(
+#include <stdio.h>
+#include <stdlib.h>
+#include <omp.h>
+int main() {
+  int n = 4;
+  double* v = (double*)malloc(n * sizeof(double));
+  for (int i = 0; i < n; i++) v[i] = 0.0;
+  printf("start\n");
+  #pragma omp target data map(tofrom: v[0:n])
+  {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < n; i++) v[i] = i;
+    for (int i = 0; i < 20; i++) { v[i] = 1.0; }
+  }
+  printf("unreached\n");
+  return 0;
+}
+)",
+                omp_caps(), {"start\n", 139,
+                             {.steps = 176,
+                              .device_kernel_launches = 1,
+                              .target_regions = 1,
+                              .h2d_copies = 1,
+                              .d2h_copies = 1}});
+}
+
+TEST(VmFlow, ExitInsideATargetDataRegionStillCopiesBack) {
+  expect_pinned(R"(
+#include <stdio.h>
+#include <stdlib.h>
+#include <omp.h>
+int main() {
+  int n = 4;
+  double* v = (double*)malloc(n * sizeof(double));
+  for (int i = 0; i < n; i++) v[i] = 0.0;
+  #pragma omp target data map(tofrom: v[0:n])
+  {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < n; i++) v[i] = i;
+    for (int i = 0; i < n; i++) { if (i == 2) { printf("bye\n"); exit(3); } }
+  }
+  printf("unreached\n");
+  return 0;
+}
+)",
+                omp_caps(), {"bye\n", 3,
+                             {.steps = 150,
+                              .device_kernel_launches = 1,
+                              .target_regions = 1,
+                              .h2d_copies = 1,
+                              .d2h_copies = 1}});
+}
+
 // --------------------------------------------- fallback counting ----
 
 TEST(VmCoverage, LoweredControlFlowRunsWithZeroFallbacks) {
