@@ -189,11 +189,13 @@ TokenCounts swe_tokens(const AppSpec& app, const vfs::Repo& src,
 
 // ------------------------------------------------------------ cell memo --
 
-/// The sample-independent part of one cell: the reference translation and
-/// its token counts. Samples of a cell differ only in injected defects.
+/// The sample-independent part of one cell: the reference translation
+/// (with SWE-agent's fixed edits applied) and its token counts. Samples of
+/// a cell differ only in injected defects.
 struct CellEntry {
   std::shared_ptr<const vfs::Repo> repo;
   TokenCounts tokens;
+  std::vector<std::string> defects;  // the technique's own, before sampling
 };
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
@@ -208,36 +210,24 @@ std::uint64_t fold(std::uint64_t h, double v) {
   return fold(h, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Key of the reference translation: everything transpile_repo reads (the
-/// source repo's content, the app name that names the executable, the
-/// extent hints, and the pair).
-std::uint64_t translation_key(const AppSpec& app, const vfs::Repo& src,
-                              const Pair& pair) {
-  std::uint64_t h = fold(buildsim::repo_content_hash(src), app.name);
-  h = fold(h, static_cast<std::uint64_t>(pair.from));
-  h = fold(h, static_cast<std::uint64_t>(pair.to));
-  for (const auto& [param, extent] : app.array_extents) {
-    h = fold(fold(h, param), extent);
+/// SWE-agent's edits that do not depend on the sample.
+void apply_swe_agent_edits(vfs::Repo& repo,
+                           std::vector<std::string>& defects) {
+  // SWE-agent needs a git repository (§3.3).
+  repo.write(".git/HEAD", "ref: refs/heads/main\n");
+  // Its editor replaces tabs with spaces, breaking Makefiles.
+  if (repo.exists("Makefile")) {
+    repo.write("Makefile",
+               support::replace_all(repo.at("Makefile"), "\t", "    "));
+    defects.push_back("SWE-agent: Makefile tabs replaced with spaces");
   }
-  return h;
-}
-
-/// Key of a cell's entry: the translation key plus everything the token
-/// model reads on top of it (prompt addenda, technique, profile knobs).
-std::uint64_t cell_key(std::uint64_t translation, const AppSpec& app,
-                       Technique technique, const LlmProfile& profile) {
-  std::uint64_t h = fold(translation, static_cast<std::uint64_t>(technique));
-  h = fold(fold(fold(h, app.cli_spec), app.build_spec_make),
-           app.build_spec_cmake);
-  h = fold(h, profile.output_multiplier);
-  h = fold(h, static_cast<std::uint64_t>(profile.context_tokens));
-  return fold(h, profile.topdown_context_fraction);
 }
 
 /// Process-wide memo of cell entries, keyed on content rather than names
-/// so a re-registered app or profile gets a fresh entry. Translations are
-/// shared across the cells of one (app, pair). Both tables are
-/// single-flight, so concurrent cold misses transpile a translation once.
+/// (cell_memo_key) so a re-registered app or profile gets a fresh entry.
+/// Translations are shared across the cells of one (app, pair). Both
+/// tables are single-flight, so concurrent cold misses transpile a
+/// translation once.
 ///
 /// The paper spec generates 143 cells over 15 (app, pair) translations
 /// (ci_subset: 52 over 8). The bounds give each of the 16 shards room for
@@ -246,7 +236,8 @@ std::uint64_t cell_key(std::uint64_t translation, const AppSpec& app,
 /// Neither compute touches the ThreadPool while it owns a flight (the
 /// deadlock rule in support/sharded_cache.hpp); a cell's compute claims
 /// only translation flights below it.
-std::shared_ptr<const CellEntry> cell_entry(const AppSpec& app,
+std::shared_ptr<const CellEntry> cell_entry(const CellMemoKey& key,
+                                            const AppSpec& app,
                                             Technique technique,
                                             const LlmProfile& profile,
                                             const Pair& pair) {
@@ -256,18 +247,22 @@ std::shared_ptr<const CellEntry> cell_entry(const AppSpec& app,
   static support::ShardedCache<std::uint64_t, std::shared_ptr<const CellEntry>>
       cells{1 << 12};
 
-  const vfs::Repo& src = app.repos.at(pair.from);
-  const std::uint64_t xkey = translation_key(app, src, pair);
-  return cells.get_or_compute(cell_key(xkey, app, technique, profile), [&] {
-    auto translated = translations.get_or_compute(xkey, [&] {
+  return cells.get_or_compute(key.cell, [&] {
+    auto translated = translations.get_or_compute(key.translation, [&] {
       xlate::TranspileLog log;
       return std::make_shared<const vfs::Repo>(
           xlate::transpile_repo(app, pair.from, pair.to, log));
     });
-    const TokenCounts tokens =
-        token_counts(app, src, *translated, profile, pair, technique);
-    return std::make_shared<const CellEntry>(
-        CellEntry{std::move(translated), tokens});
+    auto entry = std::make_shared<CellEntry>();
+    entry->tokens = token_counts(app, app.repos.at(pair.from), *translated,
+                                 profile, pair, technique);
+    if (technique == Technique::SweAgent) {
+      vfs::Repo edited = *translated;
+      apply_swe_agent_edits(edited, entry->defects);
+      translated = std::make_shared<const vfs::Repo>(std::move(edited));
+    }
+    entry->repo = std::move(translated);
+    return std::shared_ptr<const CellEntry>(std::move(entry));
   });
 }
 
@@ -357,41 +352,64 @@ TranslationResult run_technique(const AppSpec& app, Technique technique,
       llm::absence_reason(profile.name, technique, pair, app.name));
 }
 
+CellMemoKey app_memo_key(const AppSpec& app, const Pair& pair) {
+  CellMemoKey key;
+  std::uint64_t h =
+      fold(buildsim::repo_content_hash(app.repos.at(pair.from)), app.name);
+  h = fold(h, static_cast<std::uint64_t>(pair.from));
+  h = fold(h, static_cast<std::uint64_t>(pair.to));
+  for (const auto& [param, extent] : app.array_extents) {
+    h = fold(fold(h, param), extent);
+  }
+  key.translation = h;
+  key.cell = fold(fold(fold(h, app.cli_spec), app.build_spec_make),
+                  app.build_spec_cmake);
+  return key;
+}
+
+CellMemoKey cell_memo_key(CellMemoKey app_key, Technique technique,
+                          const LlmProfile& profile) {
+  std::uint64_t h = fold(app_key.cell, static_cast<std::uint64_t>(technique));
+  h = fold(h, profile.output_multiplier);
+  h = fold(h, static_cast<std::uint64_t>(profile.context_tokens));
+  app_key.cell = fold(h, profile.topdown_context_fraction);
+  return app_key;
+}
+
 TranslationResult run_technique(const AppSpec& app, Technique technique,
                                 const LlmProfile& profile, const Pair& pair,
                                 Rng& rng,
                                 const std::optional<llm::CellScores>& scores,
                                 const std::string& absence_reason) {
+  return run_technique(app, technique, profile, pair, rng, scores,
+                       absence_reason,
+                       cell_memo_key(app_memo_key(app, pair), technique,
+                                     profile));
+}
+
+TranslationResult run_technique(const AppSpec& app, Technique technique,
+                                const LlmProfile& profile, const Pair& pair,
+                                Rng& rng,
+                                const std::optional<llm::CellScores>& scores,
+                                const std::string& absence_reason,
+                                const CellMemoKey& key) {
   TranslationResult result;
-  const auto& cell = scores;
-  if (!cell) {
+  if (!scores) {
     result.abort_reason = absence_reason;
     return result;
   }
 
   // The "model capability" (a correct reference translation) and the
-  // token counts come from the cell's memo entry; the repo is copied
-  // outside the memo's lock. Only the steps below depend on the sample.
+  // token counts come from the cell's memo entry; the repo copy shares
+  // the entry's file contents. Only the defects depend on the sample.
   const std::shared_ptr<const CellEntry> entry =
-      cell_entry(app, technique, profile, pair);
+      cell_entry(key, app, technique, profile, pair);
   result.repo = *entry->repo;
   result.input_tokens = entry->tokens.input;
   result.output_tokens = entry->tokens.output;
+  result.defects = entry->defects;
 
-  if (technique == Technique::SweAgent) {
-    // SWE-agent needs a git repository (§3.3).
-    result.repo.write(".git/HEAD", "ref: refs/heads/main\n");
-    // Its editor replaces tabs with spaces, breaking Makefiles.
-    if (result.repo.exists("Makefile")) {
-      result.repo.write("Makefile",
-                        support::replace_all(result.repo.at("Makefile"),
-                                             "\t", "    "));
-      result.defects.push_back(
-          "SWE-agent: Makefile tabs replaced with spaces");
-    }
-  }
-
-  inject_calibrated_defects(app, profile, *cell, result.repo, rng,
+  inject_calibrated_defects(app, profile, *scores, result.repo, rng,
                             result.defects);
   result.generated = true;
   return result;

@@ -7,6 +7,7 @@
 // "model capability", and the calibrated defect injector degrades the
 // output to the quality the paper measured for that LLM.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,6 +70,37 @@ TranslationResult run_technique(const apps::AppSpec& app,
                                 const llm::Pair& pair, support::Rng& rng,
                                 const std::optional<llm::CellScores>& scores,
                                 const std::string& absence_reason);
+
+/// The content key of one cell's memo entry: `translation` covers
+/// everything the reference translation reads (source repo, app name,
+/// extent hints, pair), and `cell` adds everything the token model reads
+/// on top of it (prompt addenda, technique, profile knobs).
+struct CellMemoKey {
+  std::uint64_t translation = 0;
+  std::uint64_t cell = 0;
+};
+
+/// The part of a cell memo key that depends only on (app, pair): the
+/// translation key, with `cell` holding the prompt addenda folded on it.
+/// A sweep computes it once per (app, pair), not once per cell.
+CellMemoKey app_memo_key(const apps::AppSpec& app, const llm::Pair& pair);
+
+/// `app_key` (app_memo_key of the cell's app and pair) completed with the
+/// cell's technique and profile knobs.
+CellMemoKey cell_memo_key(CellMemoKey app_key, llm::Technique technique,
+                          const llm::LlmProfile& profile);
+
+/// run_technique with the cell's memo key resolved too, for sweeps that
+/// run many samples of one cell: `key` must be cell_memo_key of the same
+/// app, pair, technique and profile, resolved after the app and profile
+/// were last changed.
+TranslationResult run_technique(const apps::AppSpec& app,
+                                llm::Technique technique,
+                                const llm::LlmProfile& profile,
+                                const llm::Pair& pair, support::Rng& rng,
+                                const std::optional<llm::CellScores>& scores,
+                                const std::string& absence_reason,
+                                const CellMemoKey& key);
 
 // ---- prompt builders (exposed for tests and token-economy analysis) ----
 

@@ -1,6 +1,8 @@
 #include "eval/harness.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <span>
 #include <utility>
 
 #include "buildsim/builder.hpp"
@@ -224,22 +226,17 @@ Json ScoreCache::stats() const {
   return j;
 }
 
-namespace {
-
-/// Code-only mode: swap the generated build system for the ground truth
-/// (a "pre-written ground truth Makefile or CMakeLists.txt manually
-/// translated by the authors", §8.2).
 vfs::Repo with_ground_truth_build(const AppSpec& app, const vfs::Repo& repo,
                                   apps::Model target) {
   vfs::Repo out = repo;
   out.remove("Makefile");
   out.remove("CMakeLists.txt");
   const auto it = app.ground_truth_builds.find(target);
-  if (it != app.ground_truth_builds.end()) {
-    for (const auto& f : it->second.files()) out.write(f.path, f.content);
-  }
+  if (it != app.ground_truth_builds.end()) out.overlay(it->second);
   return out;
 }
+
+namespace {
 
 /// Apply the log policy to a failed attempt's stage outcomes before they
 /// land in a SampleOutcome: strip the log slices when keep_logs is off
@@ -253,36 +250,59 @@ std::vector<StageOutcome> outcome_stages(const StagedScore& score,
   return stages;
 }
 
+/// resolve_cell with the cell's app_memo_key already computed.
+SweepCell resolve_cell(const Suite& suite, SweepCell cell,
+                       const agents::CellMemoKey& app_key) {
+  const std::string& llm = cell.profile->name;
+  const std::string& app = cell.app->name;
+  cell.scores = suite.calibration(llm, cell.technique, cell.pair, app);
+  // The absence reason is only read for absent cells.
+  cell.absence_reason =
+      cell.scores ? std::string()
+                  : suite.absence_reason(llm, cell.technique, cell.pair, app);
+  cell.memo = agents::cell_memo_key(app_key, cell.technique, *cell.profile);
+  cell.seed_prefix = support::stable_hash(
+      llm + "|" + llm::technique_name(cell.technique) + "|" +
+      llm::pair_name(cell.pair) + "|" + app + "#");
+  cell.resolved = true;
+  return cell;
+}
+
 }  // namespace
+
+SweepCell resolve_cell(const Suite& suite, SweepCell cell) {
+  const agents::CellMemoKey app_key =
+      agents::app_memo_key(*cell.app, cell.pair);
+  return resolve_cell(suite, std::move(cell), app_key);
+}
+
+std::uint64_t sample_seed(const SweepCell& cell, std::uint64_t seed,
+                          int sample_index) {
+  char digits[16];
+  const auto end =
+      std::to_chars(digits, digits + sizeof digits, sample_index).ptr;
+  return seed ^ support::stable_hash_from(
+                    cell.seed_prefix,
+                    std::span<const char>(digits, end - digits));
+}
 
 SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
                           const HarnessConfig& config, std::uint64_t seed,
                           int sample_index) {
+  if (!cell.resolved) {
+    return run_cell_sample(suite, resolve_cell(suite, cell), config, seed,
+                           sample_index);
+  }
   const AppSpec& app = *cell.app;
-  const LlmProfile& profile = *cell.profile;
-  const Technique technique = cell.technique;
   const Pair& pair = cell.pair;
   // Per-sample derived RNG stream: seed ⊕ hash(llm, technique, pair, app,
   // sample). The stream depends only on the sample's coordinates, never on
   // execution order, so serial, pooled, and sharded runs are bit-identical.
-  const std::string cell_key = profile.name + "|" +
-                               llm::technique_name(technique) + "|" +
-                               llm::pair_name(pair) + "|" + app.name;
-  const std::uint64_t sample_seed =
-      seed ^
-      support::stable_hash(cell_key + "#" + std::to_string(sample_index));
-
   SampleRun run;
-  support::Rng rng(sample_seed);
-  const auto scores =
-      suite.calibration(profile.name, technique, pair, app.name);
-  // The absence reason is only meaningful (and only read) for absent
-  // cells — don't build the string on the hot scores-present path.
+  support::Rng rng(sample_seed(cell, seed, sample_index));
   TranslationResult gen = agents::run_technique(
-      app, technique, profile, pair, rng, scores,
-      scores ? std::string()
-             : suite.absence_reason(profile.name, technique, pair,
-                                    app.name));
+      app, cell.technique, *cell.profile, pair, rng, cell.scores,
+      cell.absence_reason, cell.memo);
   if (!gen.generated) {
     run.abort_reason = std::move(gen.abort_reason);
     return run;
@@ -359,6 +379,7 @@ std::vector<SweepCell> sweep_cells(const Suite& suite,
       // tasks for this pair (Table 1).
       if (app->repos.count(pair.from) == 0) continue;
       if (!spec.selects_app(app->name)) continue;
+      const agents::CellMemoKey app_key = agents::app_memo_key(*app, pair);
       for (const Technique technique : suite.techniques()) {
         if (!spec.selects_technique(technique)) continue;
         for (const llm::LlmProfile* profile : suite.profiles()) {
@@ -370,7 +391,8 @@ std::vector<SweepCell> sweep_cells(const Suite& suite,
                                 app->name)) {
             continue;
           }
-          cells.push_back({app, technique, profile, pair});
+          cells.push_back(
+              resolve_cell(suite, {app, technique, profile, pair}, app_key));
         }
       }
     }

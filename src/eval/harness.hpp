@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,8 @@ struct HarnessConfig {
   /// recorded, so large sweeps don't ship log blobs.
   bool keep_logs = true;
   /// Concurrency for run_sweep / run_shard: 1 = fully serial (no pool),
-  /// anything else schedules every (cell, sample) unit on the global
-  /// work-stealing pool (which sizes itself to hardware_threads()).
+  /// anything else runs the (cell, sample) units on the caller and every
+  /// worker of the global pool (which sizes itself to hardware_threads()).
   /// Each sample draws from its own seed ⊕ hash(llm, technique, pair, app,
   /// sample) RNG stream, so results are bit-identical for every setting.
   unsigned threads = 0;
@@ -301,26 +302,52 @@ struct SampleRecord {
   bool operator==(const SampleRecord&) const = default;
 };
 
-/// One (app, technique, LLM, pair) cell of a sweep.
+/// One (app, technique, LLM, pair) cell of a sweep, with the constants
+/// every sample of it shares. sweep_cells returns resolved cells; a cell
+/// built from its four coordinates is resolved by resolve_cell.
 struct SweepCell {
   const apps::AppSpec* app = nullptr;
   llm::Technique technique = llm::Technique::NonAgentic;
   const llm::LlmProfile* profile = nullptr;
   llm::Pair pair;
+
+  bool resolved = false;  ///< the fields below are filled in
+  /// The suite's calibration; nullopt aborts every sample.
+  std::optional<llm::CellScores> scores{};
+  std::string absence_reason{};  ///< why `scores` is nullopt, else empty
+  agents::CellMemoKey memo{};    ///< content key of the agents' cell memo
+  /// stable_hash("llm|technique|pair|app#"): the state sample seeds
+  /// continue from.
+  std::uint64_t seed_prefix = 0;
 };
 
-/// Run one (cell, sample) unit with its derived RNG stream: `seed` (the
-/// spec's) ⊕ hash(llm, technique, pair, app, sample_index). The unit
-/// depends only on its coordinates — never on execution order, thread
-/// count, or which process runs it — which is what makes distributed
-/// sharding exact. Calibration (how capable the simulated LLM is on this
-/// cell) resolves through `suite`, so suites with registered LLMs/pairs
-/// generate instead of aborting on missing paper tables. A cell without
-/// calibration aborts before generating, so either every sample of a cell
-/// aborts or none does.
+/// `cell` with its per-cell constants resolved through `suite`.
+SweepCell resolve_cell(const Suite& suite, SweepCell cell);
+
+/// The RNG seed of one sample: `seed` ⊕ stable_hash of
+/// "llm|technique|pair|app#sample_index", continued from the resolved
+/// cell's seed_prefix.
+std::uint64_t sample_seed(const SweepCell& cell, std::uint64_t seed,
+                          int sample_index);
+
+/// Run one (cell, sample) unit with its derived RNG stream (sample_seed).
+/// The unit depends only on its coordinates — never on execution order,
+/// thread count, or which process runs it — which is what makes
+/// distributed sharding exact. Calibration (how capable the simulated LLM
+/// is on this cell) resolves through `suite`, so suites with registered
+/// LLMs/pairs generate instead of aborting on missing paper tables. A cell
+/// without calibration aborts before generating, so either every sample
+/// of a cell aborts or none does. An unresolved cell is resolved per call.
 SampleRun run_cell_sample(const Suite& suite, const SweepCell& cell,
                           const HarnessConfig& config, std::uint64_t seed,
                           int sample_index);
+
+/// Code-only mode: `repo` with its generated build system swapped for the
+/// app's ground truth for `target` (a "pre-written ground truth Makefile
+/// or CMakeLists.txt manually translated by the authors", §8.2). The
+/// ground-truth files are overlaid with their stored hashes.
+vfs::Repo with_ground_truth_build(const apps::AppSpec& app,
+                                  const vfs::Repo& repo, apps::Model target);
 
 /// Fold per-sample runs (in sample-index order) into a TaskResult. Stops
 /// at the first non-generated sample; run_sweep and merge_shards share

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -44,68 +43,75 @@ ShardPlan plan_shard(std::size_t cell_count, int samples_per_cell,
 
 // --- worker -----------------------------------------------------------------
 
-ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
-                      int shard_index, int shard_count,
-                      const HarnessConfig& config) {
-  const std::vector<SweepCell> cells = sweep_cells(suite, spec);
-  const ShardPlan plan = plan_shard(cells.size(), spec.samples_per_task,
-                                    shard_index, shard_count);
-  ShardResult out;
-  out.spec = spec;
-  out.suite_fingerprint = suite.fingerprint();
-  out.engine = config.engine;
-  out.shard_index = shard_index;
-  out.shard_count = shard_count;
-  out.records.reserve(plan.units.size());
+namespace {
 
-  // Every batch sweep, shard and figure runs its units through this loop
-  // (the sweep server's JobQueue dispatches units one at a time instead).
+/// The records of `plan`'s units over `cells` (sweep_cells of `spec`), in
+/// plan order: the one loop that runs (cell, sample) units for every
+/// batch sweep, shard and figure (the sweep server's JobQueue dispatches
+/// units one at a time instead).
+std::vector<SampleRecord> run_units(const Suite& suite, const SweepSpec& spec,
+                                    const std::vector<SweepCell>& cells,
+                                    const ShardPlan& plan,
+                                    const HarnessConfig& config) {
+  std::vector<SampleRecord> records(plan.units.size());
+  auto run = [&](std::size_t i) {
+    const auto [cell, sample] = plan.units[i];
+    records[i] = {cell, sample,
+                  run_cell_sample(suite, cells[cell], config, spec.seed,
+                                  sample)};
+  };
   if (config.threads == 1) {
-    for (const auto& [cell, sample] : plan.units) {
-      out.records.push_back(
-          {cell, sample,
-           run_cell_sample(suite, cells[cell], config, spec.seed, sample)});
-    }
-    return out;
+    for (std::size_t i = 0; i < plan.units.size(); ++i) run(i);
+    return records;
   }
-  // Every unit is an independent pool task; collection order is plan
-  // order, independent of completion order. Submission is sample-major,
-  // so units that run side by side belong to different cells: samples of
-  // one cell often generate the same repository, and concurrent misses on
-  // one score-cache key wait for a single computation instead of working.
-  const auto priority = config.high_priority ? support::TaskPriority::High
-                                             : support::TaskPriority::Normal;
+  // The caller and every pool worker claim units from one index. Claim
+  // order is sample-major, so units that run side by side belong to
+  // different cells: samples of one cell often generate the same
+  // repository, and concurrent misses on one score-cache key wait for a
+  // single computation instead of working.
   std::vector<std::size_t> order(plan.units.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&plan](std::size_t a, std::size_t b) {
                      return plan.units[a].second < plan.units[b].second;
                    });
-  ThreadPool& pool = ThreadPool::global();
-  std::vector<std::future<SampleRun>> futures(plan.units.size());
-  for (const std::size_t i : order) {
-    const auto [cell, sample] = plan.units[i];
-    futures[i] = pool.submit(
-        priority, [&suite, config, c = cells[cell], seed = spec.seed,
-                   sample = sample] {
-          return run_cell_sample(suite, c, config, seed, sample);
-        });
-  }
-  for (std::size_t i = 0; i < plan.units.size(); ++i) {
-    out.records.push_back(
-        {plan.units[i].first, plan.units[i].second, pool.await(futures[i])});
-  }
+  support::parallel_for(
+      0, order.size(), [&](std::size_t k) { run(order[k]); },
+      ThreadPool::global().worker_count() + 1,
+      config.high_priority ? support::TaskPriority::High
+                           : support::TaskPriority::Normal);
+  return records;
+}
+
+}  // namespace
+
+ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
+                      int shard_index, int shard_count,
+                      const HarnessConfig& config) {
+  const std::vector<SweepCell> cells = sweep_cells(suite, spec);
+  ShardResult out;
+  out.spec = spec;
+  out.suite_fingerprint = suite.fingerprint();
+  out.engine = config.engine;
+  out.shard_index = shard_index;
+  out.shard_count = shard_count;
+  out.records = run_units(suite, spec, cells,
+                          plan_shard(cells.size(), spec.samples_per_task,
+                                     shard_index, shard_count),
+                          config);
   return out;
 }
 
 std::vector<TaskResult> run_sweep(const Suite& suite, const SweepSpec& spec,
                                   const HarnessConfig& config) {
   const std::vector<SweepCell> cells = sweep_cells(suite, spec);
-  ShardResult shard = run_shard(suite, spec, 0, 1, config);
+  std::vector<SampleRecord> records = run_units(
+      suite, spec, cells, plan_shard(cells.size(), spec.samples_per_task, 0, 1),
+      config);
   // The 1-shard plan is cell-major with samples ascending, so cell c owns
   // records [c * N, (c + 1) * N).
   const auto samples = static_cast<std::size_t>(spec.samples_per_task);
-  auto record = shard.records.begin();
+  auto record = records.begin();
   std::vector<TaskResult> out;
   out.reserve(cells.size());
   for (const SweepCell& cell : cells) {

@@ -67,8 +67,10 @@ struct ShardResult {
 
 /// Run this process's share of a (suite, spec) sweep: the one loop that
 /// runs (cell, sample) units, which run_sweep also runs over the 1-shard
-/// plan. Serial when config.threads == 1, otherwise one global-pool task
-/// per unit, collected in plan order. samples/seed come from the spec.
+/// plan. Serial when config.threads == 1; otherwise the caller and every
+/// global-pool worker claim units from one shared index, sample-major, on
+/// config.high_priority's lane. Records are in plan order either way.
+/// samples/seed come from the spec.
 ShardResult run_shard(const Suite& suite, const SweepSpec& spec,
                       int shard_index, int shard_count,
                       const HarnessConfig& config = {});

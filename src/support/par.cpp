@@ -240,7 +240,7 @@ ThreadPool& ThreadPool::global() {
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
-                  unsigned threads) {
+                  unsigned threads, TaskPriority priority) {
   if (begin >= end) return;
   if (threads == 0) threads = hardware_threads();
   const std::size_t n = end - begin;
@@ -274,7 +274,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   std::vector<std::future<void>> helpers;
   helpers.reserve(executors - 1);
   for (unsigned t = 0; t + 1 < executors; ++t) {
-    helpers.push_back(pool.submit(claim_loop));
+    helpers.push_back(pool.submit(priority, claim_loop));
   }
   claim_loop();
   // claim_loop swallows exceptions into first_error, so await() here only

@@ -117,10 +117,13 @@ class ThreadPool {
 /// Run body(i) for i in [begin, end) with dynamic scheduling on the global
 /// pool, using at most `threads` concurrent executors (the caller is one of
 /// them). `threads == 0` means hardware_threads(); `threads == 1` runs
-/// serially inline. Exceptions thrown by `body` propagate to the caller
+/// serially inline. The executors claim indices from one atomic counter,
+/// so indices start in ascending order. The pool-side executors ride the
+/// `priority` lane. Exceptions thrown by `body` propagate to the caller
 /// (the first one observed by index-claim order).
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
-                  unsigned threads = 0);
+                  unsigned threads = 0,
+                  TaskPriority priority = TaskPriority::Normal);
 
 }  // namespace pareval::support

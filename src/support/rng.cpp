@@ -17,13 +17,17 @@ std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
   return weights.size() - 1;  // numeric slop lands on the last bucket
 }
 
-std::uint64_t stable_hash(std::span<const char> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t stable_hash_from(std::uint64_t state,
+                               std::span<const char> bytes) noexcept {
   for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    state ^= static_cast<unsigned char>(c);
+    state *= 0x100000001b3ULL;
   }
-  return h;
+  return state;
+}
+
+std::uint64_t stable_hash(std::span<const char> bytes) noexcept {
+  return stable_hash_from(0xcbf29ce484222325ULL, bytes);  // offset basis
 }
 
 std::uint64_t stable_hash(const std::string& s) noexcept {

@@ -55,9 +55,11 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [0, bound). bound must be > 0.
+  /// Integer in [0, bound) as a plain `next_u64() % bound`. bound must be
+  /// > 0. Unless bound divides 2^64 the result is slightly biased toward
+  /// small values (by at most bound / 2^64 per value). It stays as is:
+  /// every seeded stream and golden pin in the suite depends on it.
   std::uint64_t next_below(std::uint64_t bound) noexcept {
-    // Lemire's nearly-divisionless bounded generation, simplified.
     return next_u64() % bound;
   }
 
@@ -92,5 +94,12 @@ class Rng {
 /// from configuration names so adding tasks does not perturb other tasks.
 std::uint64_t stable_hash(std::span<const char> bytes) noexcept;
 std::uint64_t stable_hash(const std::string& s) noexcept;
+
+/// Continue a stable_hash from `state`. FNV-1a streams and has no final
+/// mix, so a hash is also the state after its bytes:
+/// stable_hash_from(stable_hash(a), b) == stable_hash(a + b). A caller
+/// hashes a constant prefix once and only the varying suffix per use.
+std::uint64_t stable_hash_from(std::uint64_t state,
+                               std::span<const char> bytes) noexcept;
 
 }  // namespace pareval::support

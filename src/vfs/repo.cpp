@@ -9,7 +9,30 @@
 
 namespace pareval::vfs {
 
+namespace {
+
+/// True when `path` is what normalize_path returns for it: no empty, "."
+/// or ".." component, so no leading, trailing or doubled '/'.
+bool is_normal(std::string_view path) {
+  std::size_t len = 0;     // length of the current component
+  bool dots_only = true;   // the component so far is all '.'
+  for (const char c : path) {
+    if (c == '/') {
+      if (len == 0 || (dots_only && len <= 2)) return false;
+      len = 0;
+      dots_only = true;
+    } else {
+      ++len;
+      dots_only = dots_only && c == '.';
+    }
+  }
+  return len > 0 && !(dots_only && len <= 2);
+}
+
+}  // namespace
+
 std::string normalize_path(std::string_view path) {
+  if (is_normal(path)) return std::string(path);
   std::vector<std::string> out;
   for (const auto& part : support::split(path, '/')) {
     if (part.empty() || part == ".") continue;
@@ -54,38 +77,62 @@ Repo::Repo(std::vector<File> files) {
   for (auto& f : files) write(f.path, std::move(f.content));
 }
 
+Repo::Files::const_iterator Repo::find(std::string_view path) const {
+  return is_normal(path) ? files_.find(path)
+                         : files_.find(normalize_path(path));
+}
+
+Repo::Files::iterator Repo::find(std::string_view path) {
+  return is_normal(path) ? files_.find(path)
+                         : files_.find(normalize_path(path));
+}
+
 void Repo::write(std::string_view path, std::string content) {
+  const std::uint64_t content_hash = support::stable_hash(content);
+  auto shared = std::make_shared<const std::string>(std::move(content));
+  const auto it = find(path);
+  if (it != files_.end()) {
+    it->second.content = std::move(shared);
+    it->second.content_hash = content_hash;
+    return;
+  }
   std::string key = normalize_path(path);
   const std::uint64_t path_hash = support::stable_hash(key);
-  const std::uint64_t content_hash = support::stable_hash(content);
-  files_.insert_or_assign(std::move(key),
-                          Stored{std::move(content), path_hash, content_hash});
+  files_.emplace(std::move(key),
+                 Stored{std::move(shared), path_hash, content_hash});
+}
+
+void Repo::overlay(const Repo& other) {
+  for (const auto& [path, f] : other.files_) files_.insert_or_assign(path, f);
 }
 
 bool Repo::remove(std::string_view path) {
-  return files_.erase(normalize_path(path)) > 0;
+  const auto it = find(path);
+  if (it == files_.end()) return false;
+  files_.erase(it);
+  return true;
 }
 
 bool Repo::exists(std::string_view path) const {
-  return files_.count(normalize_path(path)) > 0;
+  return find(path) != files_.end();
 }
 
 std::optional<std::string> Repo::read(std::string_view path) const {
-  const auto it = files_.find(normalize_path(path));
+  const auto it = find(path);
   if (it == files_.end()) return std::nullopt;
-  return it->second.content;
+  return *it->second.content;
 }
 
 const std::string& Repo::at(std::string_view path) const {
-  const auto it = files_.find(normalize_path(path));
+  const auto it = find(path);
   if (it == files_.end()) {
     throw std::out_of_range("no such file in repo: " + std::string(path));
   }
-  return it->second.content;
+  return *it->second.content;
 }
 
 std::optional<std::uint64_t> Repo::content_hash(std::string_view path) const {
-  const auto it = files_.find(normalize_path(path));
+  const auto it = find(path);
   if (it == files_.end()) return std::nullopt;
   return it->second.content_hash;
 }
@@ -100,7 +147,7 @@ std::vector<std::string> Repo::paths() const {
 std::vector<File> Repo::files() const {
   std::vector<File> out;
   out.reserve(files_.size());
-  for (const auto& [p, f] : files_) out.push_back({p, f.content});
+  for (const auto& [p, f] : files_) out.push_back({p, *f.content});
   return out;
 }
 

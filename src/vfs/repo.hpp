@@ -7,10 +7,14 @@
 // Each stored file carries the stable hashes of its path and content,
 // computed once when it is written and copied with the repo, so content
 // keys (buildsim::repo_content_hash, the TU manifests) never rehash bytes
-// that did not change.
+// that did not change. A file's bytes are shared immutable content: a
+// repo copy copies pointers, and a write replaces the content instead of
+// editing it, so a copy never sees another copy's writes.
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,8 +47,12 @@ class Repo {
   Repo() = default;
   explicit Repo(std::vector<File> files);
 
-  /// Insert or overwrite.
+  /// Insert or overwrite. An overwrite keeps the stored path hash.
   void write(std::string_view path, std::string content);
+  /// Insert or overwrite every file of `other`, sharing its bytes and
+  /// stored hashes: the repo that writing each of its files would give,
+  /// without copying or rehashing a byte.
+  void overlay(const Repo& other);
   /// Remove a file; returns false if absent.
   bool remove(std::string_view path);
   bool exists(std::string_view path) const;
@@ -79,12 +87,22 @@ class Repo {
 
  private:
   struct Stored {
-    std::string content;
+    std::shared_ptr<const std::string> content;
     std::uint64_t path_hash = 0;
     std::uint64_t content_hash = 0;
-    bool operator==(const Stored&) const = default;
+    bool operator==(const Stored& o) const {
+      return path_hash == o.path_hash && content_hash == o.content_hash &&
+             (content == o.content || *content == *o.content);
+    }
   };
-  std::map<std::string, Stored> files_;
+  using Files = std::map<std::string, Stored, std::less<>>;
+
+  /// The entry at normalize_path(path), or files_.end(); an already
+  /// normal path is looked up without building a key.
+  Files::const_iterator find(std::string_view path) const;
+  Files::iterator find(std::string_view path);
+
+  Files files_;
 };
 
 }  // namespace pareval::vfs

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "eval/harness.hpp"
+#include "eval/shard.hpp"
 #include "one_cell.hpp"
 #include "support/par.hpp"
 #include "support/sharded_cache.hpp"
@@ -269,6 +270,103 @@ TEST(ParallelFor, ThreadCapOfOneRunsInline) {
                    /*threads=*/1);
   EXPECT_EQ(ids.size(), 1u);
   EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(ParallelFor, HighPriorityRunsBeforeQueuedNormalTasks) {
+  // Park every global worker, queue Normal tasks behind them, then start a
+  // High parallel_for whose units wait for each other: once the workers
+  // are released, each must pick a High executor before any Normal task,
+  // so every unit starts before the first Normal task runs.
+  ps::ThreadPool& pool = ps::ThreadPool::global();
+  const unsigned workers = pool.worker_count();
+  std::atomic<unsigned> parked{0};
+  std::atomic<bool> release{false};
+  std::vector<std::future<void>> blockers;
+  for (unsigned w = 0; w < workers; ++w) {
+    blockers.push_back(pool.submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    }));
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+
+  std::mutex order_mu;
+  std::vector<char> order;
+  auto note = [&](char c) {
+    std::lock_guard<std::mutex> lock(order_mu);
+    order.push_back(c);
+  };
+  constexpr int kNormal = 8;
+  std::vector<std::future<void>> normals;
+  for (int i = 0; i < kNormal; ++i) {
+    normals.push_back(pool.submit([&] { note('N'); }));
+  }
+
+  const std::size_t units = workers + 1;
+  std::atomic<std::size_t> arrived{0};
+  std::thread caller([&] {
+    ps::parallel_for(
+        0, units,
+        [&](std::size_t) {
+          note('H');
+          arrived.fetch_add(1);
+          while (arrived.load() < units) std::this_thread::yield();
+        },
+        workers + 1, ps::TaskPriority::High);
+  });
+  // The caller claims the first unit only after queueing its helpers.
+  while (arrived.load() < 1) std::this_thread::yield();
+  release.store(true);
+  caller.join();
+  for (auto& b : blockers) b.wait();
+  for (auto& n : normals) n.wait();
+
+  ASSERT_EQ(order.size(), units + kNormal);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i < units ? 'H' : 'N') << "slot " << i;
+  }
+}
+
+TEST(ParallelFor, ThrowingUnitSurfacesToCaller) {
+  const unsigned executors = ps::ThreadPool::global().worker_count() + 1;
+  for (const auto priority : {ps::TaskPriority::Normal,
+                              ps::TaskPriority::High}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ps::parallel_for(
+                     0, 64,
+                     [&](std::size_t i) {
+                       ran.fetch_add(1);
+                       if (i == 17) throw std::runtime_error("unit 17");
+                     },
+                     executors, priority),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 18);
+  }
+  // The pool is still usable afterwards.
+  std::atomic<int> after{0};
+  ps::parallel_for(0, 16, [&](std::size_t) { after.fetch_add(1); },
+                   executors);
+  EXPECT_EQ(after.load(), 16);
+}
+
+TEST(Determinism, ShardRecordsIdenticalAcrossThreadsAndPriority) {
+  pe::SweepSpec spec = pe::pair_spec(pareval::llm::all_pairs()[1]);
+  spec.samples_per_task = 3;
+  pe::ScoreCache cache;  // shared: hit or miss, the scores are identical
+  pe::HarnessConfig config;
+  config.score_cache = &cache;
+  config.threads = 1;
+  const pe::Suite& suite = pe::Suite::paper();
+  const pe::ShardResult serial = pe::run_shard(suite, spec, 1, 2, config);
+  ASSERT_FALSE(serial.records.empty());
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const bool high : {false, true}) {
+      config.threads = threads;
+      config.high_priority = high;
+      EXPECT_EQ(pe::run_shard(suite, spec, 1, 2, config), serial)
+          << "threads " << threads << " high_priority " << high;
+    }
+  }
 }
 
 TEST(Determinism, CellSweepIdenticalAcrossThreadCounts) {

@@ -213,6 +213,64 @@ TEST(Suite, ReRegisteredAppOrProfileGetsAFreshTranslation) {
   const auto after_profile = run();
   EXPECT_EQ(after_profile.input_tokens, after_edit.input_tokens);
   EXPECT_NE(after_profile.output_tokens, after_edit.output_tokens);
+
+  // The harness path resolves each cell's memo key where sweep_cells
+  // builds the cells: an app that differs only in its CLI contract (part
+  // of SWE-agent's issue text) must get its own entry there too.
+  pe::SweepSpec spec;
+  spec.apps = {"nanoXOR"};
+  spec.techniques = {pareval::llm::technique_key(Technique::SweAgent)};
+  spec.llms = {"gpt-4o-mini"};
+  spec.pairs = {pareval::llm::pair_key({Model::Cuda, Model::Kokkos})};
+  spec.samples_per_task = 2;
+  const auto before_cli = pe::run_sweep(suite, spec);
+  pareval::apps::AppSpec cli = *suite.find_app("nanoXOR");
+  cli.cli_spec += " Also accept a --verbose flag and print each step.";
+  suite.add_app(std::move(cli));
+  const auto after_cli = pe::run_sweep(suite, spec);
+  ASSERT_EQ(before_cli.size(), 1u);
+  ASSERT_EQ(after_cli.size(), 1u);
+  ASSERT_TRUE(before_cli[0].ran);
+  ASSERT_TRUE(after_cli[0].ran);
+  EXPECT_GT(after_cli[0].avg_tokens, before_cli[0].avg_tokens);
+}
+
+TEST(Suite, SampleSeedsMatchTheStringConcatFormula) {
+  // sample_seed continues the FNV state of the cell's constant prefix;
+  // the seeds must equal hashing the whole coordinate string, or every
+  // sweep output would move.
+  const pe::SweepSpec spec = pe::SweepSpec::paper();
+  const auto cells = pe::sweep_cells(pe::Suite::paper(), spec);
+  ASSERT_GT(cells.size(), 3u);
+  std::vector<const pe::SweepCell*> picked = {
+      &cells.front(), &cells[cells.size() / 2], &cells.back()};
+  for (const pe::SweepCell& cell : cells) {
+    if (cell.technique == Technique::SweAgent) {
+      picked.push_back(&cell);
+      break;
+    }
+  }
+  for (const pe::SweepCell* cell : picked) {
+    ASSERT_TRUE(cell->resolved);
+    const std::string prefix =
+        cell->profile->name + "|" +
+        pareval::llm::technique_name(cell->technique) + "|" +
+        pareval::llm::pair_name(cell->pair) + "|" + cell->app->name;
+    for (const int sample : {0, 1, 9, 10, 24, 99, 2147483647}) {
+      EXPECT_EQ(pe::sample_seed(*cell, spec.seed, sample),
+                spec.seed ^ ps::stable_hash(prefix + "#" +
+                                            std::to_string(sample)))
+          << prefix << " #" << sample;
+    }
+  }
+  // A cell built from its coordinates alone resolves to the same cell.
+  const pe::SweepCell& first = cells.front();
+  const pe::SweepCell bare{first.app, first.technique, first.profile,
+                           first.pair};
+  const pe::SweepCell resolved = pe::resolve_cell(pe::Suite::paper(), bare);
+  EXPECT_EQ(resolved.seed_prefix, first.seed_prefix);
+  EXPECT_EQ(resolved.memo.cell, first.memo.cell);
+  EXPECT_EQ(resolved.scores.has_value(), first.scores.has_value());
 }
 
 TEST(SweepSpec, FromJsonRejectsMalformedInput) {
